@@ -1,7 +1,7 @@
-"""Graph-kernel latency: dict-of-dicts backend vs the indexed CSR backend.
+"""Graph-kernel latency: dict-of-dicts reference kernels vs the indexed CSR core.
 
 The NEWST hot path (Algorithm 1) is dominated by the metric closure — one
-node+edge weighted Dijkstra per terminal.  The indexed backend
+node+edge weighted Dijkstra per terminal.  The indexed core
 (:mod:`repro.graph.indexed` / :mod:`repro.graph.kernels`) snapshots the graph
 into flat arrays once per corpus and prefetches both cost functions, so the
 inner relaxation loop performs no attribute-dict lookups and no Python
@@ -9,10 +9,8 @@ closure calls.  This benchmark measures, on a ~1k-node synthetic corpus:
 
 * **metric closure** — the per-query closure cost as the serving layer pays
   it (snapshot amortised across queries, costs bound per query); acceptance:
-  the indexed backend is at least ``MIN_CLOSURE_SPEEDUP``× faster *and*
+  the indexed kernel is at least ``MIN_CLOSURE_SPEEDUP``× faster *and*
   returns identical distances and paths;
-* **end-to-end pipeline** — ``RePaGerPipeline.generate`` latency per backend
-  with identical reading-path output;
 * **PageRank** — the per-corpus warm-up pass, bit-identical scores.
 
 Every measurement is written to ``benchmarks/BENCH_graph_kernels.json`` so
@@ -30,8 +28,7 @@ import pytest
 
 from bench_utils import env_float, env_int, print_table
 
-from repro.config import CorpusConfig, PipelineConfig
-from repro.core.pipeline import RePaGerPipeline
+from repro.config import CorpusConfig
 from repro.core.weights import WeightedGraphBuilder
 from repro.corpus.generator import CorpusGenerator
 from repro.graph.citation_graph import CitationGraph
@@ -41,18 +38,13 @@ from repro.graph.pagerank import pagerank
 from repro.graph.steiner import metric_closure
 from repro.search.scholar import GoogleScholarEngine
 
-#: Acceptance criterion: minimum metric-closure speedup of the indexed backend.
+#: Acceptance criterion: minimum metric-closure speedup of the indexed kernel.
 MIN_CLOSURE_SPEEDUP = env_float("REPRO_BENCH_MIN_SPEEDUP", 3.0)
-
-#: End-to-end pipeline runs must not regress (informally they improve ~1.2-2x;
-#: the floor guards against the indexed path ever becoming a pessimisation).
-MIN_PIPELINE_SPEEDUP = env_float("REPRO_BENCH_MIN_E2E_SPEEDUP", 1.0)
 
 #: ~1k nodes with the default taxonomy (99 topics x (papers + 1 survey)).
 KERNEL_PAPERS_PER_TOPIC = env_int("REPRO_BENCH_KERNEL_PAPERS_PER_TOPIC", 10)
 
 NUM_TERMINALS = 30
-PIPELINE_QUERIES = ("information retrieval", "image processing", "machine learning")
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_graph_kernels.json"
 
@@ -87,7 +79,6 @@ def kernel_env():
     return {
         "store": store,
         "graph": graph,
-        "engine": engine,
         "terminals": terminals,
         "node_cost": node_cost,
         "edge_cost": edge_cost,
@@ -127,7 +118,7 @@ def test_metric_closure_speedup(kernel_env, bench_results):
 
     expected = metric_closure(graph, terminals, edge_cost, node_cost)
     actual = metric_closure(graph, terminals, edge_cost, node_cost, snapshot=snapshot)
-    assert actual == expected, "indexed metric closure diverged from dict backend"
+    assert actual == expected, "indexed metric closure diverged from the dict reference"
 
     speedup = dict_seconds / max(indexed_seconds, 1e-9)
     print_table(
@@ -155,59 +146,6 @@ def test_metric_closure_speedup(kernel_env, bench_results):
         f"indexed metric closure only {speedup:.2f}x faster "
         f"({indexed_seconds:.4f}s vs {dict_seconds:.4f}s); need "
         f">= {MIN_CLOSURE_SPEEDUP:.1f}x"
-    )
-
-
-def test_end_to_end_pipeline_speedup(kernel_env, bench_results):
-    store = kernel_env["store"]
-    graph = kernel_env["graph"]
-    engine = kernel_env["engine"]
-
-    timings: dict[str, float] = {}
-    outputs: dict[str, list] = {}
-    for backend in ("dict", "indexed"):
-        pipeline = RePaGerPipeline(
-            store, engine, graph=graph,
-            config=PipelineConfig(graph_backend=backend),
-        )
-        pipeline.node_weights  # warm-up: PageRank is a per-corpus, not per-query, cost
-        if backend == "indexed":
-            pipeline.indexed_graph
-
-        last_run: list = []
-
-        def run_queries(pipeline=pipeline, last_run=last_run):
-            last_run[:] = [pipeline.generate(query) for query in PIPELINE_QUERIES]
-
-        timings[backend] = best_of(run_queries, repeats=2)
-        outputs[backend] = [
-            (result.reading_path.papers, result.reading_path.edges)
-            for result in last_run
-        ]
-
-    assert outputs["indexed"] == outputs["dict"], (
-        "backends produced different reading paths"
-    )
-
-    speedup = timings["dict"] / max(timings["indexed"], 1e-9)
-    print_table(
-        f"Graph kernels: end-to-end pipeline ({len(PIPELINE_QUERIES)} queries)",
-        ["backend", "seconds", "speedup"],
-        [
-            ["dict", timings["dict"], 1.0],
-            ["indexed", timings["indexed"], speedup],
-        ],
-    )
-    bench_results["pipeline_end_to_end"] = {
-        "queries": list(PIPELINE_QUERIES),
-        "dict_seconds": timings["dict"],
-        "indexed_seconds": timings["indexed"],
-        "speedup": speedup,
-        "min_speedup": MIN_PIPELINE_SPEEDUP,
-    }
-
-    assert speedup >= MIN_PIPELINE_SPEEDUP, (
-        f"indexed pipeline is slower than dict ({speedup:.2f}x)"
     )
 
 

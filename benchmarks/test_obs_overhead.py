@@ -7,9 +7,10 @@ that bargain to account:
 
 * **end-to-end** — interleaved rounds of uncached queries with tracing
   globally enabled (but no active trace — the plain ``service.query`` path)
-  versus globally disabled via :func:`repro.obs.set_enabled`.  The best-of-N
-  round times must agree within 5% (plus a small absolute epsilon for timer
-  noise).
+  versus globally disabled via :func:`repro.obs.set_enabled`.  Each round
+  starts from a fresh ``gc.collect()``, so both modes pay the same garbage
+  collections.  The best-of-N round times must agree within 5% (plus a small
+  absolute epsilon for timer noise).
 * **micro** — the cost of one idle ``stage()`` enter/exit, multiplied by the
   span count of a real query, must itself be under 5% of the measured query
   time, which pins the overhead bound to the instrumentation rather than to
@@ -18,6 +19,7 @@ that bargain to account:
 
 from __future__ import annotations
 
+import gc
 import time
 
 import pytest
@@ -63,6 +65,11 @@ def obs_service(bench_store, bench_scholar, bench_graph, bench_venues):
 
 
 def _round_seconds(service) -> float:
+    # Start every round from an empty collector so each one triggers the
+    # same collections at the same points.  A full collection walks every
+    # corpus artifact; whether a round caught one or two of them otherwise
+    # moved round times by more than the 5% being measured.
+    gc.collect()
     started = time.perf_counter()
     for query in BENCH_QUERIES:
         service.query(query, use_cache=False)

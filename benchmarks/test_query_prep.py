@@ -1,18 +1,15 @@
-"""Query-preparation latency: dict reference path vs the indexed fast path.
+"""Query-preparation latency: the dict references vs the indexed runtime path.
 
-PR 2 moved the NEWST Steiner solve onto the CSR snapshot, which shifted the
-per-query bottleneck to everything *before* the solve:
+Everything a query does *before* the NEWST solve runs on per-corpus indexes:
 
-* **search scoring** — the dict reference dots the query vector against every
-  stored paper per query; the indexed path scores only papers sharing a term
-  with the query through a per-corpus
+* **search scoring** — the reference :func:`~repro.search.engine.scan_search`
+  dots the query vector against every stored paper per query; the runtime
+  path scores only papers sharing a term with the query through a per-corpus
   :class:`~repro.textproc.postings.PostingsIndex`;
-* **expansion + edge costs** — the dict reference walks the dict graph
-  breadth-first and re-intersects predecessor sets per edge per query; the
-  indexed path BFSes the CSR snapshot and slices a per-corpus edge-relevance
-  map;
-* **end-to-end pipeline** — the whole of the above plus the (already indexed)
-  Steiner solve, per backend, with byte-identical reading paths.
+* **expansion + edge costs** — the reference walks the dict graph
+  breadth-first and re-intersects predecessor sets per edge per query
+  (:func:`~repro.core.weights.reference_edge_relevance`); the runtime path
+  BFSes the CSR snapshot and slices a per-corpus edge-relevance map.
 
 Each measurement is written to ``benchmarks/BENCH_query_prep.json`` so runs
 can be compared across commits.  Thresholds and sizes honour
@@ -29,19 +26,18 @@ import pytest
 
 from bench_utils import env_float, env_int, print_table
 
-from repro.config import CorpusConfig, PipelineConfig
-from repro.core.pipeline import RePaGerPipeline
+from repro.config import CorpusConfig
 from repro.core.subgraph import SubgraphBuilder
-from repro.core.weights import WeightedGraphBuilder
+from repro.core.weights import WeightedGraphBuilder, reference_edge_relevance
 from repro.corpus.generator import CorpusGenerator
 from repro.graph.citation_graph import CitationGraph
 from repro.graph.indexed import IndexedGraph
+from repro.search.engine import scan_search
 from repro.search.scholar import GoogleScholarEngine
 
 #: Acceptance criteria: minimum speedups of the indexed query-preparation path.
 MIN_SEARCH_SPEEDUP = env_float("REPRO_BENCH_MIN_SEARCH_SPEEDUP", 3.0)
 MIN_PREP_SPEEDUP = env_float("REPRO_BENCH_MIN_PREP_SPEEDUP", 2.0)
-MIN_E2E_SPEEDUP = env_float("REPRO_BENCH_MIN_QP_E2E_SPEEDUP", 1.3)
 
 #: ~1k nodes with the default taxonomy (99 topics x (papers + 1 survey)).
 QP_PAPERS_PER_TOPIC = env_int("REPRO_BENCH_KERNEL_PAPERS_PER_TOPIC", 10)
@@ -53,7 +49,6 @@ SEARCH_QUERIES = (
     "hate speech detection",
     "neural networks",
 )
-PIPELINE_QUERIES = ("information retrieval", "image processing", "machine learning")
 
 RESULTS_PATH = Path(__file__).resolve().parent / "BENCH_query_prep.json"
 
@@ -70,23 +65,19 @@ def best_of(fn, repeats: int = 3) -> float:
 
 @pytest.fixture(scope="module")
 def qp_env():
-    """Corpus, graph and per-backend engines for the query-prep benchmarks."""
+    """Corpus, graph and a warmed engine for the query-prep benchmarks."""
     config = CorpusConfig(
         seed=11, papers_per_topic=QP_PAPERS_PER_TOPIC, surveys_per_topic=1
     )
     corpus = CorpusGenerator(config).generate()
     store = corpus.store
     graph = CitationGraph.from_papers(store.papers)
-    engines = {
-        backend: GoogleScholarEngine(store, backend=backend)
-        for backend in ("dict", "indexed")
-    }
-    # Warm the per-corpus artifacts so the timings below measure per-query
-    # work, the way a warmed serving replica pays it.
-    engines["indexed"].ensure_index()
-    for query in SEARCH_QUERIES:
-        engines["dict"].search(query, top_k=1)  # fills the document-vector cache
-    return {"store": store, "graph": graph, "engines": engines}
+    engine = GoogleScholarEngine(store)
+    # Warm the per-corpus artifacts (postings index and every document vector
+    # the scan reads) so the timings below measure per-query work, the way a
+    # warmed serving replica pays it.
+    engine.ensure_index()
+    return {"store": store, "graph": graph, "engine": engine}
 
 
 @pytest.fixture(scope="module")
@@ -101,18 +92,22 @@ def bench_results():
 
 
 def test_search_scoring_speedup(qp_env, bench_results):
-    engines = qp_env["engines"]
+    engine = qp_env["engine"]
     store = qp_env["store"]
+    search = {
+        "dict": lambda query: scan_search(engine, query, top_k=30),
+        "indexed": lambda query: engine.search(query, top_k=30),
+    }
 
     def run(backend):
-        return [engines[backend].search(query, top_k=30) for query in SEARCH_QUERIES]
+        return [search[backend](query) for query in SEARCH_QUERIES]
 
     assert run("indexed") == run("dict"), "postings path diverged from corpus scan"
 
     dict_seconds = best_of(lambda: run("dict"))
     indexed_seconds = best_of(lambda: run("indexed"))
     index_build_seconds = best_of(
-        lambda: GoogleScholarEngine(store, backend="indexed").ensure_index(), repeats=1
+        lambda: GoogleScholarEngine(store).ensure_index(), repeats=1
     )
 
     speedup = dict_seconds / max(indexed_seconds, 1e-9)
@@ -145,12 +140,13 @@ def test_search_scoring_speedup(qp_env, bench_results):
 def test_expansion_and_edge_costs_speedup(qp_env, bench_results):
     store = qp_env["store"]
     graph = qp_env["graph"]
-    seeds = qp_env["engines"]["indexed"].search_ids("information retrieval", top_k=30)
+    seeds = qp_env["engine"].search_ids("information retrieval", top_k=30)
 
     snapshot = IndexedGraph.from_graph(graph)
-    builders = {
-        backend: WeightedGraphBuilder(store, graph, graph_backend=backend)
-        for backend in ("dict", "indexed")
+    builder = WeightedGraphBuilder(store, graph)
+    relevance = {
+        "dict": lambda candidates: reference_edge_relevance(graph, candidates),
+        "indexed": lambda candidates: builder.edge_costs(set(candidates)).relevance,
     }
     expanders = {
         "dict": SubgraphBuilder(graph, expansion_order=2, max_nodes=4000),
@@ -159,18 +155,16 @@ def test_expansion_and_edge_costs_speedup(qp_env, bench_results):
         ),
     }
     # Per-corpus warm-up (amortised across queries, measured separately).
-    relevance_build_seconds = best_of(
-        lambda: builders["indexed"].edge_relevance(), repeats=1
-    )
+    relevance_build_seconds = best_of(lambda: builder.edge_relevance(), repeats=1)
 
     def run(backend):
         candidates = expanders[backend].expand(seeds)
-        return candidates, builders[backend].edge_costs(set(candidates))
+        return candidates, relevance[backend](candidates)
 
-    dict_candidates, dict_costs = run("dict")
-    indexed_candidates, indexed_costs = run("indexed")
+    dict_candidates, dict_relevance = run("dict")
+    indexed_candidates, indexed_relevance = run("indexed")
     assert indexed_candidates == dict_candidates, "expansion diverged"
-    assert indexed_costs.relevance == dict_costs.relevance, "edge relevance diverged"
+    assert indexed_relevance == dict_relevance, "edge relevance diverged"
 
     dict_seconds = best_of(lambda: run("dict"))
     indexed_seconds = best_of(lambda: run("indexed"))
@@ -200,63 +194,4 @@ def test_expansion_and_edge_costs_speedup(qp_env, bench_results):
         f"indexed expansion+edge-costs only {speedup:.2f}x faster "
         f"({indexed_seconds:.4f}s vs {dict_seconds:.4f}s); need "
         f">= {MIN_PREP_SPEEDUP:.1f}x"
-    )
-
-
-def test_end_to_end_pipeline_speedup(qp_env, bench_results):
-    store = qp_env["store"]
-    graph = qp_env["graph"]
-    engines = qp_env["engines"]
-
-    timings: dict[str, float] = {}
-    outputs: dict[str, list] = {}
-    for backend in ("dict", "indexed"):
-        pipeline = RePaGerPipeline(
-            store, engines[backend], graph=graph,
-            config=PipelineConfig(graph_backend=backend),
-        )
-        # Per-corpus warm-up: PageRank, and on the indexed backend the CSR
-        # snapshot + edge-relevance map (the engines are warmed in qp_env).
-        pipeline.node_weights
-        if backend == "indexed":
-            pipeline.indexed_graph
-            pipeline.weight_builder.edge_relevance()
-
-        last_run: list = []
-
-        def run_queries(pipeline=pipeline, last_run=last_run):
-            # A fresh per-candidate-set cache per run: time the cold path, not
-            # the bound-cost reuse.
-            pipeline._prepared_cache.clear()
-            last_run[:] = [pipeline.generate(query) for query in PIPELINE_QUERIES]
-
-        timings[backend] = best_of(run_queries, repeats=2)
-        outputs[backend] = [
-            (result.reading_path.papers, result.reading_path.edges)
-            for result in last_run
-        ]
-
-    assert outputs["indexed"] == outputs["dict"], (
-        "backends produced different reading paths"
-    )
-
-    speedup = timings["dict"] / max(timings["indexed"], 1e-9)
-    print_table(
-        f"Query prep: end-to-end pipeline ({len(PIPELINE_QUERIES)} queries)",
-        ["backend", "seconds", "speedup"],
-        [
-            ["dict", timings["dict"], 1.0],
-            ["indexed", timings["indexed"], speedup],
-        ],
-    )
-    bench_results["pipeline_end_to_end"] = {
-        "queries": list(PIPELINE_QUERIES),
-        "dict_seconds": timings["dict"],
-        "indexed_seconds": timings["indexed"],
-        "speedup": speedup,
-        "min_speedup": MIN_E2E_SPEEDUP,
-    }
-    assert speedup >= MIN_E2E_SPEEDUP, (
-        f"indexed pipeline only {speedup:.2f}x faster than dict; need "
-        f">= {MIN_E2E_SPEEDUP:.1f}x"
     )

@@ -9,9 +9,9 @@ Usage (from the repository root)::
 The fixtures freeze the top-K reading-path output of all seven Table III
 variants on the deterministic synthetic test corpus (see
 ``tests/golden_utils.py`` for the shared definition).  They are computed with
-the dict graph backend — the original reference implementation — and the
-tier-1 test ``tests/test_golden_paths.py`` then asserts that *both* backends
-reproduce them byte for byte.
+the pipeline, and the tier-1 test ``tests/test_golden_paths.py`` asserts that
+it still reproduces them byte for byte.  ``--check`` only diffs; it never
+writes.
 
 Only rerun this script when a change is *supposed* to alter reading paths
 (cost model changes, ranking changes, corpus generator changes); commit the
@@ -21,7 +21,6 @@ fixture diff together with the change that caused it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -35,6 +34,7 @@ from golden_utils import (  # noqa: E402 - path setup must precede import
     GOLDEN_VARIANTS,
     compute_all_payloads,
     fixture_path,
+    render_fixture,
 )
 from repro.corpus.generator import CorpusGenerator  # noqa: E402
 from repro.graph.citation_graph import CitationGraph  # noqa: E402
@@ -56,13 +56,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"corpus: {len(store)} papers, graph: {graph.num_nodes} nodes / "
           f"{graph.num_edges} edges")
 
-    payloads = compute_all_payloads(store, engine, graph, graph_backend="dict")
+    payloads = compute_all_payloads(store, engine, graph)
 
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     drifted: list[str] = []
     for variant in GOLDEN_VARIANTS:
         path = fixture_path(variant)
-        rendered = json.dumps(payloads[variant], indent=2, sort_keys=True) + "\n"
+        rendered = render_fixture(payloads[variant])
         if args.check:
             existing = path.read_text(encoding="utf-8") if path.exists() else ""
             status = "ok" if existing == rendered else "DRIFT"

@@ -26,15 +26,7 @@ __all__ = [
     "TenantOverrides",
     "TenantQuota",
     "config_fingerprint",
-    "GRAPH_BACKENDS",
-    "DEFAULT_GRAPH_BACKEND",
 ]
-
-#: Graph cores the pipeline can run PageRank / the NEWST metric closure on.
-#: Single source of truth — the config validator, the weight builder and the
-#: CLI flags all reference these.
-GRAPH_BACKENDS = ("dict", "indexed")
-DEFAULT_GRAPH_BACKEND = "indexed"
 
 
 def config_fingerprint(config: object) -> str:
@@ -170,12 +162,6 @@ class PipelineConfig:
             node weights, NEWST-E drops edge weights).
         steiner_only: If False the pipeline stops after seed reallocation and
             returns the reallocated papers directly (NEWST-C).
-        graph_backend: Which graph core runs PageRank and the NEWST metric
-            closure: ``"indexed"`` (the default — an immutable CSR snapshot
-            with array kernels, see :mod:`repro.graph.indexed`) or ``"dict"``
-            (the original dict-of-dicts traversal).  Both backends produce
-            byte-identical reading paths; the switch exists for A/B
-            verification and as an escape hatch.
     """
 
     num_seeds: int = 30
@@ -187,7 +173,6 @@ class PipelineConfig:
     use_node_weights: bool = True
     use_edge_weights: bool = True
     steiner_only: bool = True
-    graph_backend: str = DEFAULT_GRAPH_BACKEND
 
     _VALID_SEED_STRATEGIES = ("reallocated", "initial", "union", "intersection")
 
@@ -204,11 +189,6 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"seed_strategy must be one of {self._VALID_SEED_STRATEGIES}, "
                 f"got {self.seed_strategy!r}"
-            )
-        if self.graph_backend not in GRAPH_BACKENDS:
-            raise ConfigurationError(
-                f"graph_backend must be one of {GRAPH_BACKENDS}, "
-                f"got {self.graph_backend!r}"
             )
 
     def fingerprint(self) -> str:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 from ..config import NewstConfig
 from ..errors import DisconnectedTerminalsError, PipelineError
 from ..graph.citation_graph import CitationGraph
-from ..graph.indexed import BoundCosts, IndexedGraph
+from ..graph.indexed import IndexedGraph
 from ..graph.steiner import SteinerTreeResult, node_edge_weighted_steiner_tree
 from .weights import EdgeCosts, NodeWeights
 
@@ -31,25 +31,16 @@ class NewstModel:
         config: NEWST cost parameters (alpha, beta, gamma, a, b).
         use_node_weights: If False the node-weight term is dropped (NEWST-N).
         use_edge_weights: If False every edge costs a constant alpha (NEWST-E).
-        graph_backend: ``"indexed"`` routes the metric closure through the
-            array kernels of :mod:`repro.graph.kernels`; ``"dict"`` keeps the
-            original per-edge closure dispatch.  Results are identical.
     """
 
     config: NewstConfig
     use_node_weights: bool = True
     use_edge_weights: bool = True
-    graph_backend: str = "dict"
 
-    def cost_functions(
+    def _cost_functions(
         self, node_weights: NodeWeights, edge_costs: EdgeCosts
     ) -> tuple[Callable[[str, str], float], Callable[[str], float]]:
-        """The ``(edge_cost, node_cost)`` callables after ablation switches.
-
-        Exposed so callers that prefetch cost arrays
-        (:meth:`~repro.graph.indexed.IndexedGraph.bind_costs`) bind exactly
-        the functions :meth:`solve` would use.
-        """
+        """The ``(edge_cost, node_cost)`` callables after ablation switches."""
         node_cost = node_weights.as_cost_function() if self.use_node_weights else (
             lambda _node: 0.0
         )
@@ -67,7 +58,6 @@ class NewstModel:
         node_weights: NodeWeights,
         edge_costs: EdgeCosts,
         snapshot: IndexedGraph | None = None,
-        costs: BoundCosts | None = None,
     ) -> SteinerTreeResult:
         """Compute the Steiner tree spanning ``terminals`` in ``subgraph``.
 
@@ -80,11 +70,8 @@ class NewstModel:
         Args:
             snapshot: Optional prebuilt :class:`IndexedGraph` view of
                 ``subgraph`` (the pipeline carves it out of the per-corpus
-                snapshot); built on the fly when the backend is ``"indexed"``
-                and none is supplied.
-            costs: Optional cost arrays pre-bound from :meth:`cost_functions`
-                on ``snapshot`` — the pipeline reuses them across queries that
-                share a candidate subgraph.
+                snapshot); built on the fly when none is supplied.  The
+                metric closure runs on it with the cost arrays bound per solve.
 
         Raises:
             PipelineError: If no terminal is present in the subgraph.
@@ -93,10 +80,10 @@ class NewstModel:
         if not present:
             raise PipelineError("no compulsory terminal is present in the subgraph")
 
-        if snapshot is None and self.graph_backend == "indexed":
+        if snapshot is None:
             snapshot = IndexedGraph.from_graph(subgraph)
 
-        edge_cost, node_cost = self.cost_functions(node_weights, edge_costs)
+        edge_cost, node_cost = self._cost_functions(node_weights, edge_costs)
 
         try:
             return node_edge_weighted_steiner_tree(
@@ -106,7 +93,6 @@ class NewstModel:
                 node_cost=node_cost,
                 require_all_terminals=False,
                 snapshot=snapshot,
-                costs=costs,
             )
         except DisconnectedTerminalsError as exc:  # pragma: no cover - defensive
             raise PipelineError(f"could not connect the terminal papers: {exc}") from exc

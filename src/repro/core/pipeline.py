@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -33,7 +32,6 @@ from ..config import PipelineConfig
 from ..corpus.storage import CorpusStore
 from ..errors import PipelineError
 from ..graph.citation_graph import CitationGraph
-from ..graph.indexed import BoundCosts, IndexedGraph
 from ..graph.steiner import SteinerTreeResult
 from ..obs.trace import stage
 from ..resilience.deadline import check_deadline
@@ -47,32 +45,9 @@ from .reading_path import build_reading_path, rank_path_papers
 from .reallocation import cooccurrence_counts, reallocate_seeds
 from .seeds import SeedSelector
 from .subgraph import SubgraphBuilder
-from .weights import EdgeCosts, WeightedGraphBuilder
+from .weights import WeightedGraphBuilder
 
 __all__ = ["PipelineResult", "RePaGerPipeline", "VARIANT_CONFIGS", "make_variant_config"]
-
-
-@dataclass(slots=True)
-class _PreparedSubgraph:
-    """Per-candidate-set artifacts shared by queries with the same expansion.
-
-    Two queries whose seed expansions produce the same candidate set also
-    share the induced CSR snapshot, the sliced Eq. 2 edge costs and — once a
-    Steiner solve has run — the bound cost arrays, so the pipeline caches all
-    three keyed on the candidate frozenset.  ``bound_costs`` is filled lazily
-    (NEWST-C never binds costs); a racy double-bind computes identical arrays,
-    so the benign last-writer-wins is safe.
-    """
-
-    snapshot: IndexedGraph
-    edge_costs: EdgeCosts
-    bound_costs: BoundCosts | None = None
-
-
-#: Candidate-set cache entries kept per pipeline (LRU).  Each entry holds an
-#: induced snapshot of at most ``max_expanded_nodes`` nodes, so the worst case
-#: is a few MB on the paper-scale configuration.
-_PREPARED_CACHE_CAPACITY = 32
 
 
 @dataclass(slots=True)
@@ -147,7 +122,6 @@ class RePaGerPipeline:
             self.graph,
             config=self.config.newst,
             venues=self.venues,
-            graph_backend=self.config.graph_backend,
         )
         # Node weights depend only on the full graph, so compute them once and
         # share across queries (the PageRank pass dominates set-up time).  The
@@ -155,13 +129,6 @@ class RePaGerPipeline:
         # PageRank pass when the serving layer skips warm-up.
         self._node_weights = None
         self._node_weights_lock = threading.Lock()
-        # Queries that expand to the same candidate set share their induced
-        # snapshot, sliced edge costs and bound cost arrays (indexed backend).
-        self._prepared_cache: OrderedDict[frozenset[str], _PreparedSubgraph] = (
-            OrderedDict()
-        )
-        self._prepared_lock = threading.Lock()
-        self._prepared_hits = 0
 
     # -- helpers ------------------------------------------------------------------
 
@@ -269,9 +236,8 @@ class RePaGerPipeline:
             span.tag(num_seeds=len(initial_seeds))
 
         # Step 3: expand to the candidate subgraph (step 2's node weights are
-        # computed once per pipeline and shared).  On the indexed backend the
-        # BFS runs on the per-corpus CSR snapshot.
-        use_indexed = self.config.graph_backend == "indexed"
+        # computed once per pipeline and shared).  The BFS runs on the
+        # per-corpus CSR snapshot.
         with stage("k_hop_expand") as span:
             check_deadline("k_hop_expand")
             fault_point("k_hop_expand")
@@ -279,7 +245,7 @@ class RePaGerPipeline:
                 self.graph,
                 expansion_order=self.config.expansion_order,
                 max_nodes=self.config.max_expanded_nodes,
-                snapshot=self.indexed_graph if use_indexed else None,
+                snapshot=self.indexed_graph,
             )
             subgraph, candidate_hops = subgraph_builder.build(
                 initial_seeds, year_cutoff=year_cutoff, exclude_ids=exclude_ids
@@ -310,35 +276,19 @@ class RePaGerPipeline:
             )
             tree = None
         else:
-            # Step 5: NEWST Steiner tree and reading path.
-            with stage("edge_relevance_slice") as span:
+            # Step 5: NEWST Steiner tree and reading path.  The candidate
+            # subgraph's CSR snapshot is carved out of the per-corpus one and
+            # its Eq. 2 costs are sliced from the per-corpus relevance map.
+            with stage("edge_relevance_slice"):
                 check_deadline("edge_relevance_slice")
                 fault_point("edge_relevance_slice")
-                prepared = (
-                    self._prepared(frozenset(candidate_hops)) if use_indexed else None
-                )
-                edge_costs = (
-                    prepared.edge_costs
-                    if prepared is not None
-                    else self.weight_builder.edge_costs(set(candidate_hops))
-                )
-                span.tag(prepared_cache=prepared is not None)
+                snapshot = self.indexed_graph.induced(candidate_hops)
+                edge_costs = self.weight_builder.edge_costs(set(candidate_hops))
             model = NewstModel(
                 config=self.config.newst,
                 use_node_weights=self.config.use_node_weights,
                 use_edge_weights=self.config.use_edge_weights,
-                graph_backend=self.config.graph_backend,
             )
-            snapshot = costs = None
-            if prepared is not None:
-                snapshot = prepared.snapshot
-                if prepared.bound_costs is None:
-                    with stage("cost_bind"):
-                        edge_fn, node_fn = model.cost_functions(
-                            self.node_weights, edge_costs
-                        )
-                        prepared.bound_costs = snapshot.bind_costs(edge_fn, node_fn)
-                costs = prepared.bound_costs
             with stage("steiner_solve") as span:
                 check_deadline("steiner_solve")
                 fault_point("steiner_solve")
@@ -348,7 +298,6 @@ class RePaGerPipeline:
                     self.node_weights,
                     edge_costs,
                     snapshot=snapshot,
-                    costs=costs,
                 )
                 span.tag(tree_nodes=len(tree.nodes), tree_edges=len(tree.edges))
             with stage("padding") as span:
@@ -383,34 +332,6 @@ class RePaGerPipeline:
             elapsed_seconds=elapsed,
             padding=tuple(padding),
         )
-
-    # -- per-candidate-set cache ------------------------------------------------------
-
-    def _prepared(self, candidates: frozenset[str]) -> _PreparedSubgraph:
-        """Shared artifacts for one candidate set (indexed backend only).
-
-        The induced snapshot and the sliced Eq. 2 edge costs depend only on
-        the candidate set (node weights and the relevance map are per-corpus),
-        so queries that expand to the same candidates reuse them — including
-        the bound cost arrays once a Steiner solve has filled them in.
-        """
-        with self._prepared_lock:
-            entry = self._prepared_cache.get(candidates)
-            if entry is not None:
-                self._prepared_cache.move_to_end(candidates)
-                self._prepared_hits += 1
-                return entry
-        snapshot = self.indexed_graph.induced(candidates)
-        entry = _PreparedSubgraph(
-            snapshot=snapshot,
-            edge_costs=self.weight_builder.edge_costs(set(candidates)),
-        )
-        with self._prepared_lock:
-            entry = self._prepared_cache.setdefault(candidates, entry)
-            self._prepared_cache.move_to_end(candidates)
-            while len(self._prepared_cache) > _PREPARED_CACHE_CAPACITY:
-                self._prepared_cache.popitem(last=False)
-        return entry
 
     # -- variant internals ----------------------------------------------------------
 

@@ -24,18 +24,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from ..config import GRAPH_BACKENDS, NewstConfig
+from ..config import NewstConfig
 from ..corpus.storage import CorpusStore
-from ..errors import ConfigurationError, GraphError
+from ..errors import GraphError
 from ..graph.citation_graph import CitationGraph
 from ..graph.indexed import IndexedGraph
 from ..graph.kernels import indexed_pagerank
-from ..graph.pagerank import pagerank
 from ..venues.rankings import VenueCatalog, build_default_catalog
 
-__all__ = ["NodeWeights", "EdgeCosts", "WeightedGraphBuilder"]
+__all__ = ["NodeWeights", "EdgeCosts", "WeightedGraphBuilder", "reference_edge_relevance"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,17 +98,11 @@ class WeightedGraphBuilder:
         graph: CitationGraph,
         config: NewstConfig | None = None,
         venues: VenueCatalog | None = None,
-        graph_backend: str = "dict",
     ) -> None:
-        if graph_backend not in GRAPH_BACKENDS:
-            raise ConfigurationError(
-                f"graph_backend must be one of {GRAPH_BACKENDS}, got {graph_backend!r}"
-            )
         self.store = store
         self.graph = graph
         self.config = config or NewstConfig()
         self.venues = venues or build_default_catalog()
-        self.graph_backend = graph_backend
         self._pagerank: dict[str, float] | None = None
         self._snapshot: IndexedGraph | None = None
         self._snapshot_lock = threading.Lock()
@@ -135,20 +128,12 @@ class WeightedGraphBuilder:
     def pagerank_scores(self) -> Mapping[str, float]:
         """PageRank of every paper in the full citation graph (cached, normalised)."""
         if self._pagerank is None:
-            if self.graph_backend == "indexed":
-                raw = indexed_pagerank(
-                    self.indexed_snapshot(),
-                    damping=self.config.pagerank_damping,
-                    max_iterations=self.config.pagerank_max_iterations,
-                    tolerance=self.config.pagerank_tolerance,
-                )
-            else:
-                raw = pagerank(
-                    self.graph,
-                    damping=self.config.pagerank_damping,
-                    max_iterations=self.config.pagerank_max_iterations,
-                    tolerance=self.config.pagerank_tolerance,
-                )
+            raw = indexed_pagerank(
+                self.indexed_snapshot(),
+                damping=self.config.pagerank_damping,
+                max_iterations=self.config.pagerank_max_iterations,
+                tolerance=self.config.pagerank_tolerance,
+            )
             low = min(raw.values())
             high = max(raw.values())
             span = high - low
@@ -188,8 +173,8 @@ class WeightedGraphBuilder:
         computed once on the CSR snapshot and sliced per query by
         :meth:`edge_costs`.  Direct links are counted straight off the edge
         arrays; co-citation counts come from a sorted-adjacency two-pointer
-        intersection of the predecessor lists (the dict implementation builds
-        two fresh Python sets per edge per query).
+        intersection of the predecessor lists (:func:`reference_edge_relevance`
+        builds two fresh Python sets per edge instead).
 
         Memory: one dict entry per undirected adjacent pair, i.e. O(edges)
         — about 100 bytes per entry, the same order as the snapshot itself.
@@ -228,8 +213,8 @@ class WeightedGraphBuilder:
         ids = snapshot.node_ids
         rank = snapshot.sort_rank
         # Direct links: every directed edge adds 1.0 to its undirected pair,
-        # keyed (u, v) with u lexicographically smaller — exactly the dict
-        # implementation's key and accumulation.
+        # keyed (u, v) with u lexicographically smaller — exactly
+        # reference_edge_relevance's key and accumulation.
         pair_links: dict[tuple[int, int], float] = {}
         for source, target in zip(snapshot.edge_src, snapshot.edge_dst):
             key = (source, target) if rank[source] < rank[target] else (target, source)
@@ -266,39 +251,13 @@ class WeightedGraphBuilder:
         When ``nodes`` is given, only edges inside that node set are scored
         (the pipeline only ever needs costs inside the expanded subgraph).
 
-        On the ``"indexed"`` backend the per-pair relevance comes from the
-        cached per-corpus :meth:`edge_relevance` map — each query only *slices*
-        it to the candidate set instead of re-intersecting predecessor sets.
-        Both backends produce bit-identical relevance values.
+        The per-pair relevance comes from the cached per-corpus
+        :meth:`edge_relevance` map — each query only *slices* it to the
+        candidate set instead of re-intersecting predecessor sets.  The values
+        are bit-identical to :func:`reference_edge_relevance`.
         """
         if self.graph.num_nodes == 0:
             raise GraphError("cannot compute edge costs on an empty graph")
-        if self.graph_backend == "indexed":
-            return self._sliced_edge_costs(nodes)
-        scope = nodes if nodes is not None else set(self.graph.nodes)
-        relevance: dict[tuple[str, str], float] = {}
-        for source in scope:
-            if source not in self.graph:
-                continue
-            for target in self.graph.successors(source):
-                if target not in scope:
-                    continue
-                key = (source, target) if source < target else (target, source)
-                value = relevance.get(key, 0.0) + 1.0
-                relevance[key] = value
-
-        # Co-citation component: papers citing both endpoints strengthen the link.
-        for key in list(relevance):
-            source, target = key
-            citing_source = set(self.graph.predecessors(source))
-            citing_target = set(self.graph.predecessors(target))
-            common = len(citing_source & citing_target)
-            if common:
-                relevance[key] += 0.5 * common
-        return EdgeCosts(relevance=relevance, config=self.config)
-
-    def _sliced_edge_costs(self, nodes: set[str] | None) -> EdgeCosts:
-        """Slice the per-corpus relevance map to a candidate scope."""
         full = self.edge_relevance()
         if nodes is None:
             return EdgeCosts(relevance=dict(full), config=self.config)
@@ -325,3 +284,33 @@ class WeightedGraphBuilder:
                     key = (source, target) if source < target else (target, source)
                     relevance[key] = full[key]
         return EdgeCosts(relevance=relevance, config=self.config)
+
+
+def reference_edge_relevance(
+    graph: CitationGraph, nodes: Iterable[str] | None = None
+) -> dict[tuple[str, str], float]:
+    """Eq. 2 relevance ``con(i, j)`` straight off the dict graph.
+
+    The reference :meth:`WeightedGraphBuilder.edge_costs` is held to: direct
+    links plus half a point per common citing paper, keyed ``(u, v)`` with
+    ``u < v``, restricted to edges inside ``nodes`` when given.  Only tests
+    and benchmarks call it.
+    """
+    scope = set(nodes) if nodes is not None else set(graph.nodes)
+    relevance: dict[tuple[str, str], float] = {}
+    for source in scope:
+        if source not in graph:
+            continue
+        for target in graph.successors(source):
+            if target not in scope:
+                continue
+            key = (source, target) if source < target else (target, source)
+            relevance[key] = relevance.get(key, 0.0) + 1.0
+
+    # Co-citation component: papers citing both endpoints strengthen the link.
+    for key in list(relevance):
+        source, target = key
+        common = len(set(graph.predecessors(source)) & set(graph.predecessors(target)))
+        if common:
+            relevance[key] += 0.5 * common
+    return relevance

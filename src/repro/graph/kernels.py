@@ -303,8 +303,8 @@ def indexed_pagerank(
     Every floating-point accumulation (dangling mass, share scatter, the L1
     convergence test and the final normalisation) runs in the graph's node
     insertion order with the dict implementation's exact expression order, so
-    both backends produce the same scores down to the last bit — which is what
-    keeps reading-path output byte-identical across backends.
+    both produce the same scores down to the last bit — which is what keeps
+    reading-path output byte-identical to the dict reference.
     """
     n = snapshot.num_nodes
     if n == 0:

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import DisconnectedTerminalsError, GraphError, NodeNotFoundError
 from .citation_graph import CitationGraph
-from .indexed import BoundCosts, IndexedGraph
+from .indexed import IndexedGraph
 from ..obs.trace import stage
 from ..resilience.deadline import check_deadline
 from ..resilience.faults import fault_point
@@ -102,27 +102,21 @@ def metric_closure(
     edge_cost: EdgeCost | None = None,
     node_cost: NodeCost | None = None,
     snapshot: IndexedGraph | None = None,
-    costs: BoundCosts | None = None,
 ) -> tuple[dict[tuple[str, str], float], dict[tuple[str, str], list[str]]]:
     """Pairwise shortest-path distances and paths between terminals.
 
     Args:
         snapshot: Optional :class:`IndexedGraph` view of ``graph``.  When
             given, the closure runs on the array kernels (cost callables are
-            prefetched once per node/edge instead of being invoked on every
-            relaxation) and returns identical results.
-        costs: Optional pre-bound cost arrays for ``snapshot`` (ignored
-            without one).  Callers running many queries over the same
-            candidate subgraph pass this to amortise the cost prefetch; the
-            arrays must have been bound from the same cost functions.
+            bound to arrays once per node/edge instead of being invoked on
+            every relaxation) and returns identical results.
 
     Returns:
         ``(distances, paths)`` keyed by ordered terminal pairs ``(u, v)`` with
         ``u < v``.  Unreachable pairs are omitted.
     """
     if snapshot is not None:
-        if costs is None:
-            costs = snapshot.bind_costs(edge_cost, node_cost)
+        costs = snapshot.bind_costs(edge_cost, node_cost)
         return indexed_metric_closure(snapshot, costs, list(dict.fromkeys(terminals)))
     distances: dict[tuple[str, str], float] = {}
     paths: dict[tuple[str, str], list[str]] = {}
@@ -162,7 +156,6 @@ def node_edge_weighted_steiner_tree(
     node_cost: NodeCost | None = None,
     require_all_terminals: bool = True,
     snapshot: IndexedGraph | None = None,
-    costs: BoundCosts | None = None,
 ) -> SteinerTreeResult:
     """Compute a node-edge weighted Steiner tree spanning ``terminals``.
 
@@ -176,8 +169,6 @@ def node_edge_weighted_steiner_tree(
             tree spans only the terminals in the largest reachable group.
         snapshot: Optional :class:`IndexedGraph` view of ``graph``; routes the
             metric closure (the dominant cost) through the array kernels.
-        costs: Optional pre-bound cost arrays for ``snapshot``; must have been
-            bound from the same ``edge_cost``/``node_cost`` functions.
 
     Returns:
         A :class:`SteinerTreeResult`.
@@ -215,7 +206,7 @@ def node_edge_weighted_steiner_tree(
         check_deadline("metric_closure")
         fault_point("metric_closure")
         distances, closure_paths = metric_closure(
-            graph, terminal_list, edge_cost, node_cost, snapshot=snapshot, costs=costs
+            graph, terminal_list, edge_cost, node_cost, snapshot=snapshot
         )
         span.tag(num_terminals=len(terminal_list), num_pairs=len(distances))
 

@@ -406,9 +406,6 @@ class Tenant:
         """Per-tenant health: sizes, config fingerprint and readiness flags."""
         service = self.service
         readiness = service.readiness()
-        warmed = all(
-            bool(value) for key, value in readiness.items() if key.endswith("_ready")
-        )
         return {
             "status": "ok",
             "corpus": self.name,
@@ -419,11 +416,8 @@ class Tenant:
             "graph_nodes": service.graph.num_nodes,
             "graph_edges": service.graph.num_edges,
             "config_fingerprint": service.pipeline.config_fingerprint,
-            "graph_backend": readiness["graph_backend"],
-            "warmed": warmed,
-            "readiness": {
-                key: value for key, value in readiness.items() if key.endswith("_ready")
-            },
+            "warmed": all(readiness.values()),
+            "readiness": readiness,
             "variants_loaded": list(self.variants_loaded()),
             "variants": self.variant_report(),
             "overrides": self.overrides.to_dict() if self.overrides else None,

@@ -44,8 +44,6 @@ import time
 from pathlib import Path
 
 from ..config import (
-    DEFAULT_GRAPH_BACKEND,
-    GRAPH_BACKENDS,
     CorpusConfig,
     ObsConfig,
     PipelineConfig,
@@ -107,10 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--seeds", type=int, default=30, help="number of initial seed papers")
     query.add_argument("--json", action="store_true", help="emit the UI JSON payload")
     query.add_argument("--flat", action="store_true", help="print a flat list instead of a tree")
-    query.add_argument(
-        "--graph-backend", choices=GRAPH_BACKENDS, default=DEFAULT_GRAPH_BACKEND,
-        help="graph core for PageRank and the NEWST metric closure",
-    )
 
     serve = subparsers.add_parser(
         "serve", help="serve reading paths over a dependency-free HTTP JSON API"
@@ -172,10 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-warmup", action="store_true",
         help="skip artifact precomputation (first query pays the set-up cost)",
-    )
-    serve.add_argument(
-        "--graph-backend", choices=GRAPH_BACKENDS, default=DEFAULT_GRAPH_BACKEND,
-        help="graph core for PageRank and the NEWST metric closure",
     )
     serve.add_argument(
         "--event-log", default=None, metavar="PATH",
@@ -265,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     snapshot.add_argument(
         "--seeds", type=int, default=30, help="number of initial seed papers"
-    )
-    snapshot.add_argument(
-        "--graph-backend", choices=GRAPH_BACKENDS, default=DEFAULT_GRAPH_BACKEND,
-        help="graph core for PageRank and the NEWST metric closure",
     )
 
     route = subparsers.add_parser(
@@ -393,10 +379,7 @@ def _cmd_build_surveybank(args: argparse.Namespace) -> int:
 def _cmd_query(args: argparse.Namespace) -> int:
     store = _load_or_generate_store(args.corpus)
     service = RePaGerService(
-        store,
-        pipeline_config=PipelineConfig(
-            num_seeds=args.seeds, graph_backend=args.graph_backend
-        ),
+        store, pipeline_config=PipelineConfig(num_seeds=args.seeds)
     )
     payload = service.query(args.text)
     if args.json:
@@ -545,9 +528,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             slow_trace_persist_path=args.trace_persist,
         ),
     )
-    pipeline_config = PipelineConfig(
-        num_seeds=args.seeds, graph_backend=args.graph_backend
-    )
+    pipeline_config = PipelineConfig(num_seeds=args.seeds)
     corpora = _parse_named_values(args.corpus, "--corpus", args.default_corpus)
     snapshot_paths = _parse_named_values(args.snapshot, "--snapshot", args.default_corpus)
     quota_specs = _parse_named_values(args.quota, "--quota", args.default_corpus)
@@ -670,10 +651,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_snapshot(args: argparse.Namespace) -> int:
     store = CorpusStore.load(args.corpus)
     service = RePaGerService(
-        store,
-        pipeline_config=PipelineConfig(
-            num_seeds=args.seeds, graph_backend=args.graph_backend
-        ),
+        store, pipeline_config=PipelineConfig(num_seeds=args.seeds)
     )
     report = warm_up(service)
     capture_snapshot(service, args.output)

@@ -174,12 +174,8 @@ class RePaGerService:
         # best-effort — a broken store degrades to cold queries, never 5xx.
         self.shared_cache = shared_cache
         config = pipeline_config or PipelineConfig()
-        # The default engine follows the pipeline's backend switch so that one
-        # flag flips the whole query-preparation path (search scoring, k-hop
-        # expansion, edge costs) between the dict reference and the indexed
-        # fast path.
         self.search_engine = search_engine or GoogleScholarEngine(
-            store, venues=self.venues, backend=config.graph_backend
+            store, venues=self.venues
         )
         self.graph = graph if graph is not None else CitationGraph.from_papers(store.papers)
         self.cache = cache
@@ -351,18 +347,15 @@ class RePaGerService:
         latency, so ``/v1/corpora/<name>/healthz`` surfaces them.
         """
         pipeline = self.pipeline
-        indexed = pipeline.config.graph_backend == "indexed"
         builder = pipeline.weight_builder
         search_index_built = False
         if isinstance(self.search_engine, SearchEngine):
             search_index_built = self.search_engine.index_built
         return {
-            "graph_backend": pipeline.config.graph_backend,
             "node_weights_ready": pipeline.primed_node_weights is not None,
-            "graph_snapshot_ready": (not indexed) or builder.primed_snapshot is not None,
-            "search_index_ready": (not indexed) or search_index_built,
-            "edge_relevance_ready": (not indexed)
-            or builder.primed_edge_relevance is not None,
+            "graph_snapshot_ready": builder.primed_snapshot is not None,
+            "search_index_ready": search_index_built,
+            "edge_relevance_ready": builder.primed_edge_relevance is not None,
         }
 
     def _observe(

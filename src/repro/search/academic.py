@@ -7,7 +7,6 @@ moderate citation boost, a strong venue-prestige boost and some recency.
 
 from __future__ import annotations
 
-from ..config import DEFAULT_GRAPH_BACKEND
 from ..corpus.storage import CorpusStore
 from ..venues.rankings import VenueCatalog
 from .engine import RankingPolicy, SearchEngine
@@ -25,7 +24,6 @@ class MicrosoftAcademicEngine(SearchEngine):
         store: CorpusStore,
         venues: VenueCatalog | None = None,
         exclude_surveys: bool = False,
-        backend: str = DEFAULT_GRAPH_BACKEND,
     ) -> None:
         policy = RankingPolicy(
             citation_weight=1.2,
@@ -38,5 +36,4 @@ class MicrosoftAcademicEngine(SearchEngine):
             policy=policy,
             venues=venues,
             exclude_surveys=exclude_surveys,
-            backend=backend,
         )

@@ -7,7 +7,6 @@ mild citation boost.
 
 from __future__ import annotations
 
-from ..config import DEFAULT_GRAPH_BACKEND
 from ..corpus.storage import CorpusStore
 from ..venues.rankings import VenueCatalog
 from .engine import RankingPolicy, SearchEngine
@@ -25,7 +24,6 @@ class AMinerEngine(SearchEngine):
         store: CorpusStore,
         venues: VenueCatalog | None = None,
         exclude_surveys: bool = False,
-        backend: str = DEFAULT_GRAPH_BACKEND,
     ) -> None:
         policy = RankingPolicy(
             citation_weight=0.8,
@@ -38,5 +36,4 @@ class AMinerEngine(SearchEngine):
             policy=policy,
             venues=venues,
             exclude_surveys=exclude_surveys,
-            backend=backend,
         )

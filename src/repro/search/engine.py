@@ -8,17 +8,13 @@ text does not match the query at all can never be ranked, which is exactly the
 behaviour of real keyword search engines that the paper's Observation I
 describes.
 
-Two scoring backends share the ranking code, switched by the same
-``"dict"``/``"indexed"`` knob as the graph core (see
-:data:`repro.config.GRAPH_BACKENDS`):
-
-* ``"dict"`` — the reference corpus scan: every stored paper is scored
-  against the query;
-* ``"indexed"`` — an inverted :class:`~repro.textproc.postings.PostingsIndex`
-  built once per corpus; only papers sharing at least one term with the query
-  are scored, with bit-identical scores and therefore byte-identical rankings
-  (papers sharing no term have zero relevance and can never be returned by
-  the reference scan either).
+Lexical relevance comes from an inverted
+:class:`~repro.textproc.postings.PostingsIndex` built once per corpus: only
+papers sharing at least one term with the query are scored.
+:func:`scan_search` is the reference it is held to — it scores every stored
+paper and must return the same ranking, scores and tie-breaks (papers sharing
+no term have zero relevance and can never be returned by the scan either).
+Only tests and benchmarks call it.
 
 All per-corpus artifacts — the fitted vectoriser, document vectors and the
 postings index — are built lazily (or eagerly by the serving warm-up), so
@@ -30,17 +26,16 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
-from ..config import DEFAULT_GRAPH_BACKEND, GRAPH_BACKENDS
 from ..corpus.storage import CorpusStore
-from ..errors import ConfigurationError, EmptyQueryError, SearchError
+from ..errors import EmptyQueryError, SearchError
 from ..textproc.postings import PostingsIndex
 from ..textproc.tfidf import TfidfVectorizer
 from ..types import Paper, SearchResult
 from ..venues.rankings import VenueCatalog, build_default_catalog
 
-__all__ = ["RankingPolicy", "SearchEngine"]
+__all__ = ["RankingPolicy", "SearchEngine", "scan_search"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,17 +73,11 @@ class SearchEngine:
         policy: RankingPolicy | None = None,
         venues: VenueCatalog | None = None,
         exclude_surveys: bool = False,
-        backend: str = DEFAULT_GRAPH_BACKEND,
     ) -> None:
-        if backend not in GRAPH_BACKENDS:
-            raise ConfigurationError(
-                f"search backend must be one of {GRAPH_BACKENDS}, got {backend!r}"
-            )
         self.store = store
         self.policy = policy or RankingPolicy()
         self.venues = venues or build_default_catalog()
         self.exclude_surveys = exclude_surveys
-        self.backend = backend
         self._vectorizer = TfidfVectorizer()
         self._fitted = False
         self._vector_cache: dict[str, dict[str, float]] = {}
@@ -128,16 +117,14 @@ class SearchEngine:
         """
         return self._postings is not None
 
-    def ensure_index(self) -> PostingsIndex | None:
+    def ensure_index(self) -> PostingsIndex:
         """Build (or return) the per-corpus postings index.
 
-        Returns ``None`` on the ``"dict"`` backend, which never consults the
-        index.  The serving warm-up calls :meth:`warm` eagerly so the first
-        query does not pay the corpus transform; otherwise the first indexed
-        search does.
+        Building it fits the vectoriser and transforms every document.  The
+        serving warm-up calls this eagerly so the first query does not pay
+        the corpus transform and concurrent first queries only *read* shared
+        state; otherwise the first search does.
         """
-        if self.backend != "indexed":
-            return None
         if self._postings is None:
             with self._index_lock:
                 if self._postings is None:
@@ -146,21 +133,6 @@ class SearchEngine:
                     self._index_papers = papers
                     self._postings = PostingsIndex(vectors)
         return self._postings
-
-    def warm(self) -> None:
-        """Precompute every per-corpus artifact this engine's backend needs.
-
-        On the indexed backend: the fitted vectoriser, all document vectors
-        and the postings index.  On the dict backend: the vectoriser and the
-        document-vector cache (the reference scan reads nothing else), so
-        concurrent first queries only *read* shared state either way.
-        """
-        if self.backend == "indexed":
-            self.ensure_index()
-            return
-        with self._index_lock:
-            for paper in self.store:
-                self._document_vector(paper)
 
     # -- artifact-snapshot support ----------------------------------------------
 
@@ -199,12 +171,9 @@ class SearchEngine:
             self._vectorizer = TfidfVectorizer.from_state(state["vectorizer"])  # type: ignore[arg-type]
             self._fitted = True
             self._vector_cache = vectors
-            if self.backend == "indexed":
-                papers = tuple(self.store)
-                self._index_papers = papers
-                self._postings = PostingsIndex(
-                    [vectors[paper.paper_id] for paper in papers]
-                )
+            papers = tuple(self.store)
+            self._index_papers = papers
+            self._postings = PostingsIndex([vectors[paper.paper_id] for paper in papers])
 
     # -- scoring ------------------------------------------------------------------
 
@@ -243,62 +212,54 @@ class SearchEngine:
         query_tokens = [t for t in query.lower().split() if t]
         return self._policy_score(relevance, paper, query_tokens)
 
-    # -- backends ------------------------------------------------------------------
-
-    def _scan_scored(
-        self,
-        query: str,
-        excluded: set[str],
-        year_cutoff: int | None,
-    ) -> list[tuple[float, str]]:
-        """Reference backend: score every stored paper against the query.
-
-        The query vector and tokens are hoisted out of the corpus loop —
-        bit-identical to calling :meth:`score` per paper (``transform`` is
-        deterministic), without re-tokenising the query per document.
-        """
-        query_vector = self.vectorizer.transform(query)
-        query_tokens = [t for t in query.lower().split() if t]
-        dot = TfidfVectorizer.dot
-        scored: list[tuple[float, str]] = []
-        for paper in self.store:
-            if paper.paper_id in excluded:
-                continue
-            if self.exclude_surveys and paper.is_survey:
-                continue
-            if year_cutoff is not None and paper.year > year_cutoff:
-                continue
-            relevance = dot(query_vector, self._document_vector(paper))
-            value = self._policy_score(relevance, paper, query_tokens)
-            if value > 0.0:
-                scored.append((value, paper.paper_id))
-        return scored
-
-    def _indexed_scored(
-        self,
-        query: str,
-        excluded: set[str],
-        year_cutoff: int | None,
-    ) -> list[tuple[float, str]]:
-        """Postings backend: score only papers sharing a term with the query."""
+    def _postings_relevance(
+        self, query_vector: dict[str, float]
+    ) -> list[tuple[float, Paper]]:
+        """Relevance of every paper sharing at least one term with the query."""
         index = self.ensure_index()
-        assert index is not None  # backend == "indexed"
-        query_vector = self.vectorizer.transform(query)
-        query_tokens = [t for t in query.lower().split() if t]
         papers = self._index_papers
+        return [
+            (relevance, papers[position])
+            for position, relevance in index.scores(query_vector).items()
+        ]
+
+    def _rank(
+        self,
+        query: str,
+        top_k: int,
+        year_cutoff: int | None,
+        exclude_ids: Sequence[str],
+        relevance: Callable[[dict[str, float]], Iterable[tuple[float, Paper]]],
+    ) -> list[SearchResult]:
+        """Filter, policy-score and rank what ``relevance(query_vector)`` scores.
+
+        ``relevance`` yields ``(lexical relevance, paper)`` pairs.
+        """
+        if top_k < 1:
+            raise SearchError("top_k must be >= 1")
+        if not query or not query.strip():
+            raise EmptyQueryError("query must not be empty")
+        normalized_query = query.replace(",", " ")
+        excluded = set(exclude_ids)
+        query_vector = self.vectorizer.transform(normalized_query)
+        query_tokens = [t for t in normalized_query.lower().split() if t]
         scored: list[tuple[float, str]] = []
-        for position, relevance in index.scores(query_vector).items():
-            paper = papers[position]
+        for lexical, paper in relevance(query_vector):
             if paper.paper_id in excluded:
                 continue
             if self.exclude_surveys and paper.is_survey:
                 continue
             if year_cutoff is not None and paper.year > year_cutoff:
                 continue
-            value = self._policy_score(relevance, paper, query_tokens)
+            value = self._policy_score(lexical, paper, query_tokens)
             if value > 0.0:
                 scored.append((value, paper.paper_id))
-        return scored
+        scored.sort(key=lambda item: (-item[0], item[1]))
+
+        return [
+            SearchResult(paper_id=paper_id, rank=rank, score=value, engine=self.name)
+            for rank, (value, paper_id) in enumerate(scored[:top_k])
+        ]
 
     # -- public API ------------------------------------------------------------------
 
@@ -324,23 +285,9 @@ class SearchEngine:
             EmptyQueryError: If the query contains no usable text.
             SearchError: If ``top_k`` is not positive.
         """
-        if top_k < 1:
-            raise SearchError("top_k must be >= 1")
-        if not query or not query.strip():
-            raise EmptyQueryError("query must not be empty")
-        normalized_query = query.replace(",", " ")
-        excluded = set(exclude_ids)
-
-        if self.backend == "indexed":
-            scored = self._indexed_scored(normalized_query, excluded, year_cutoff)
-        else:
-            scored = self._scan_scored(normalized_query, excluded, year_cutoff)
-        scored.sort(key=lambda item: (-item[0], item[1]))
-
-        return [
-            SearchResult(paper_id=paper_id, rank=rank, score=value, engine=self.name)
-            for rank, (value, paper_id) in enumerate(scored[:top_k])
-        ]
+        return self._rank(
+            query, top_k, year_cutoff, exclude_ids, self._postings_relevance
+        )
 
     def search_ids(
         self,
@@ -356,3 +303,26 @@ class SearchEngine:
                 query, top_k=top_k, year_cutoff=year_cutoff, exclude_ids=exclude_ids
             )
         ]
+
+
+def scan_search(
+    engine: SearchEngine,
+    query: str,
+    top_k: int = 30,
+    year_cutoff: int | None = None,
+    exclude_ids: Sequence[str] = (),
+) -> list[SearchResult]:
+    """Reference for :meth:`SearchEngine.search`: score every stored paper.
+
+    The postings index must reproduce this corpus scan exactly — results,
+    scores and tie-breaks.  Only tests and benchmarks call it.
+    """
+    dot = TfidfVectorizer.dot
+
+    def relevance(query_vector: dict[str, float]) -> list[tuple[float, Paper]]:
+        return [
+            (dot(query_vector, engine._document_vector(paper)), paper)
+            for paper in engine.store
+        ]
+
+    return engine._rank(query, top_k, year_cutoff, exclude_ids, relevance)

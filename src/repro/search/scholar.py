@@ -8,7 +8,6 @@ boost and a mild recency preference.
 
 from __future__ import annotations
 
-from ..config import DEFAULT_GRAPH_BACKEND
 from ..corpus.storage import CorpusStore
 from ..venues.rankings import VenueCatalog
 from .engine import RankingPolicy, SearchEngine
@@ -26,7 +25,6 @@ class GoogleScholarEngine(SearchEngine):
         store: CorpusStore,
         venues: VenueCatalog | None = None,
         exclude_surveys: bool = False,
-        backend: str = DEFAULT_GRAPH_BACKEND,
     ) -> None:
         policy = RankingPolicy(
             citation_weight=2.5,
@@ -39,5 +37,4 @@ class GoogleScholarEngine(SearchEngine):
             policy=policy,
             venues=venues,
             exclude_surveys=exclude_surveys,
-            backend=backend,
         )

@@ -60,12 +60,10 @@ def _corrupt_file(path: "Path") -> None:
     except OSError:
         pass
 
-#: Version 2 adds the per-corpus search index (fitted vectoriser + document
-#: vectors) and the edge-relevance map.  Version 3 adds a content checksum
-#: verified on load (torn or tampered files are quarantined instead of
-#: restoring garbage artifacts).  Version-1/2 snapshots still load; the
-#: missing artifacts are simply rebuilt on demand and the missing checksum is
-#: simply not verified.
+#: The only document version :meth:`ArtifactSnapshot.load` accepts.  It
+#: carries a content checksum verified on load (torn or tampered files are
+#: quarantined instead of restoring garbage artifacts); older versions were
+#: captured under pipeline fingerprints no current configuration produces.
 _SNAPSHOT_VERSION = 3
 
 
@@ -124,7 +122,6 @@ class WarmupReport:
     pagerank_entries: int
     venue_entries: int
     from_snapshot: bool
-    graph_backend: str = "dict"
     search_index_terms: int = 0
     edge_relevance_entries: int = 0
 
@@ -138,7 +135,6 @@ class WarmupReport:
             "pagerank_entries": self.pagerank_entries,
             "venue_entries": self.venue_entries,
             "from_snapshot": self.from_snapshot,
-            "graph_backend": self.graph_backend,
             "search_index_terms": self.search_index_terms,
             "edge_relevance_entries": self.edge_relevance_entries,
         }
@@ -148,9 +144,8 @@ class WarmupReport:
 class ArtifactSnapshot:
     """Serialisable per-corpus artifacts keyed by configuration fingerprint.
 
-    ``search_index`` and ``edge_relevance`` are captured only on the indexed
-    backend (the dict reference path derives everything on the fly); they are
-    ``None``/empty for dict-backend services and for version-1 snapshots.
+    ``search_index`` is ``None`` when the service searches through something
+    other than a local :class:`~repro.search.engine.SearchEngine`.
     """
 
     config_fingerprint: str
@@ -165,13 +160,9 @@ class ArtifactSnapshot:
     def capture(cls, service: "RePaGerService") -> "ArtifactSnapshot":
         """Capture the shared artifacts of a (warmed or cold) service."""
         weights = service.pipeline.node_weights
-        indexed = service.pipeline.config.graph_backend == "indexed"
         search_index = None
-        if indexed and isinstance(service.search_engine, SearchEngine):
+        if isinstance(service.search_engine, SearchEngine):
             search_index = service.search_engine.export_index_state()
-        edge_relevance = (
-            dict(service.pipeline.weight_builder.edge_relevance()) if indexed else {}
-        )
         return cls(
             config_fingerprint=service.pipeline.config_fingerprint,
             pagerank_scores=dict(weights.pagerank_scores),
@@ -179,7 +170,7 @@ class ArtifactSnapshot:
             graph_nodes=service.graph.num_nodes,
             graph_edges=service.graph.num_edges,
             search_index=search_index,
-            edge_relevance=edge_relevance,
+            edge_relevance=dict(service.pipeline.weight_builder.edge_relevance()),
         )
 
     def restore_into(self, service: "RePaGerService") -> None:
@@ -253,8 +244,8 @@ class ArtifactSnapshot:
     def load(cls, path: str | Path, quarantine: bool = True) -> "ArtifactSnapshot":
         """Load a snapshot previously written by :meth:`save`.
 
-        Version-3 snapshots are verified against their embedded checksum; a
-        torn or tampered file is moved aside to ``<path>.corrupt`` (unless
+        The document is verified against its embedded checksum; a torn or
+        tampered file is moved aside to ``<path>.corrupt`` (unless
         ``quarantine`` is False) and reported as
         :class:`~repro.errors.SnapshotCorruptError` — callers degrade to a
         cold build instead of restoring garbage artifacts or tripping over
@@ -274,22 +265,21 @@ class ArtifactSnapshot:
             if not isinstance(payload, dict):
                 raise ValueError("snapshot document is not a JSON object")
             version = payload.get("version")
-            if version not in (1, 2, _SNAPSHOT_VERSION):
+            if version != _SNAPSHOT_VERSION:
                 raise ServingError(
                     f"unsupported artifact snapshot version {version!r}"
                 )
-            if version == _SNAPSHOT_VERSION:
-                recorded = payload.pop("checksum", None)
-                body_fields = {
-                    key: value for key, value in payload.items() if key != "version"
-                }
-                body = json.dumps(body_fields, sort_keys=True)
-                actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
-                if recorded != actual:
-                    raise ValueError(
-                        f"checksum mismatch (recorded {recorded!r}, "
-                        f"computed {actual!r})"
-                    )
+            recorded = payload.pop("checksum", None)
+            body_fields = {
+                key: value for key, value in payload.items() if key != "version"
+            }
+            body = json.dumps(body_fields, sort_keys=True)
+            actual = hashlib.sha256(body.encode("utf-8")).hexdigest()
+            if recorded != actual:
+                raise ValueError(
+                    f"checksum mismatch (recorded {recorded!r}, "
+                    f"computed {actual!r})"
+                )
             return cls(
                 config_fingerprint=payload["config_fingerprint"],
                 pagerank_scores={
@@ -300,10 +290,10 @@ class ArtifactSnapshot:
                 },
                 graph_nodes=int(payload["graph_nodes"]),
                 graph_edges=int(payload["graph_edges"]),
-                search_index=payload.get("search_index"),
+                search_index=payload["search_index"],
                 edge_relevance={
                     (str(u), str(v)): float(value)
-                    for u, v, value in payload.get("edge_relevance", ())
+                    for u, v, value in payload["edge_relevance"]
                 },
             )
         except ServingError:
@@ -334,11 +324,11 @@ def warm_up(
 ) -> WarmupReport:
     """Precompute (or restore) every shared per-corpus artifact of a service.
 
-    On the indexed backend this covers the CSR graph snapshot, Eq. 3 node
-    weights (PageRank + venue scores), the inverted search index and the
-    edge-relevance map.  After this returns, concurrent queries only ever
-    *read* the shared state, which is what makes the batch executor's thread
-    pool safe without locks on the hot path.
+    This covers the CSR graph snapshot, Eq. 3 node weights (PageRank + venue
+    scores), the inverted search index and the edge-relevance map.  After
+    this returns, concurrent queries only ever *read* the shared state, which
+    is what makes the batch executor's thread pool safe without locks on the
+    hot path.
 
     ``snapshot`` may be a ready :class:`ArtifactSnapshot` or a filesystem
     path to one (the ``/v1`` warm-attach body and the eviction re-attach path
@@ -350,19 +340,14 @@ def warm_up(
     if snapshot is not None:
         snapshot.restore_into(service)
     pipeline = service.pipeline
+    # Build the per-corpus CSR snapshot eagerly: it backs the PageRank pass
+    # below, every query's induced candidate subgraph, and the edge-relevance
+    # precomputation.
+    pipeline.indexed_graph
+    edge_relevance_entries = len(pipeline.weight_builder.edge_relevance())
     search_index_terms = 0
-    edge_relevance_entries = 0
-    if pipeline.config.graph_backend == "indexed":
-        # Build the per-corpus CSR snapshot eagerly: it backs the PageRank
-        # pass below, every query's induced candidate subgraph, and the
-        # edge-relevance precomputation.
-        pipeline.indexed_graph
-        edge_relevance_entries = len(pipeline.weight_builder.edge_relevance())
     if isinstance(service.search_engine, SearchEngine):
-        service.search_engine.warm()
-        postings = service.search_engine.ensure_index()
-        if postings is not None:
-            search_index_terms = postings.num_terms
+        search_index_terms = service.search_engine.ensure_index().num_terms
     weights = pipeline.node_weights  # forces PageRank + venue scores
     elapsed = time.perf_counter() - started
     return WarmupReport(
@@ -374,7 +359,6 @@ def warm_up(
         pagerank_entries=len(weights.pagerank_scores),
         venue_entries=len(weights.venue_scores),
         from_snapshot=snapshot is not None,
-        graph_backend=pipeline.config.graph_backend,
         search_index_terms=search_index_terms,
         edge_relevance_entries=edge_relevance_entries,
     )

@@ -80,7 +80,6 @@ class Replica(SimpleNamespace):
 
 def make_replica(
     *,
-    graph_backend: str = "indexed",
     num_seeds: int = NUM_SEEDS,
     cache_state: str | None = None,
     max_workers: int = 2,
@@ -95,9 +94,7 @@ def make_replica(
             query_timeout_seconds=120.0,
             cache_state_path=cache_state,
         ),
-        pipeline_config=PipelineConfig(
-            num_seeds=num_seeds, graph_backend=graph_backend
-        ),
+        pipeline_config=PipelineConfig(num_seeds=num_seeds),
     )
     server = create_server(app, config=app.config)
     thread = start_in_background(server)
@@ -156,7 +153,6 @@ class ClusterFixture:
         replicas: Fleet size.
         corpora: ``name -> spec`` where spec is a :class:`CorpusSpec`, a
             ``(corpus_dir, snapshot_path)`` tuple, or a bare corpus dir.
-        graph_backend: Graph core every replica runs.
         default_corpus: Corpus the legacy single-corpus routes alias onto.
         cache_state: Path to a shared sqlite result cache; every replica
             opens the same file (the ``serve --cache-state`` story).
@@ -171,7 +167,6 @@ class ClusterFixture:
         *,
         replicas: int = 3,
         corpora: dict[str, object],
-        graph_backend: str = "indexed",
         default_corpus: str | None = None,
         cache_state: str | None = None,
         num_seeds: int = NUM_SEEDS,
@@ -187,7 +182,6 @@ class ClusterFixture:
         self._specs = {
             name: self._as_spec(name, value) for name, value in corpora.items()
         }
-        self._graph_backend = graph_backend
         self._default_corpus = default_corpus
         self._cache_state = cache_state
         self._num_seeds = num_seeds
@@ -219,7 +213,6 @@ class ClusterFixture:
         try:
             self.replicas = [
                 make_replica(
-                    graph_backend=self._graph_backend,
                     num_seeds=self._num_seeds,
                     cache_state=self._cache_state,
                 )

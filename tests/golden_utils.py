@@ -15,6 +15,7 @@ up as a fixture diff and must be either fixed or consciously re-frozen with::
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -50,21 +51,25 @@ def fixture_path(variant: str) -> Path:
     return GOLDEN_DIR / (variant.lower().replace("-", "_") + ".json")
 
 
+def render_fixture(payload: Mapping[str, object]) -> str:
+    """The exact text of a fixture file holding ``payload``."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def make_variant_pipeline(
     store,
     search_engine,
     graph,
     variant: str,
-    graph_backend: str,
     node_weights=None,
 ) -> RePaGerPipeline:
-    """A pipeline for one Table III variant on one graph backend.
+    """A pipeline for one Table III variant.
 
     ``node_weights`` lets callers share the (variant-independent) Eq. 3 node
     weights across the seven variants instead of re-running PageRank per
     variant.
     """
-    config = make_variant_config(variant, PipelineConfig(graph_backend=graph_backend))
+    config = make_variant_config(variant, PipelineConfig())
     pipeline = RePaGerPipeline(store, search_engine, graph=graph, config=config)
     if node_weights is not None:
         pipeline.prime_node_weights(node_weights)
@@ -111,20 +116,18 @@ def variant_payload(
 
 
 def compute_all_payloads(
-    store, search_engine, graph, graph_backend: str
+    store, search_engine, graph
 ) -> Mapping[str, dict[str, object]]:
-    """Payloads for every Table III variant on one backend.
+    """Payloads for every Table III variant.
 
-    PageRank/venue node weights are computed once on the requested backend and
-    shared across variants (they do not depend on the ablation switches).
+    PageRank/venue node weights are computed once and shared across variants
+    (they do not depend on the ablation switches).
     """
-    shared = make_variant_pipeline(
-        store, search_engine, graph, "NEWST", graph_backend
-    ).node_weights
+    shared = make_variant_pipeline(store, search_engine, graph, "NEWST").node_weights
     payloads: dict[str, dict[str, object]] = {}
     for variant in GOLDEN_VARIANTS:
         pipeline = make_variant_pipeline(
-            store, search_engine, graph, variant, graph_backend, node_weights=shared
+            store, search_engine, graph, variant, node_weights=shared
         )
         payloads[variant] = variant_payload(pipeline)
     return payloads

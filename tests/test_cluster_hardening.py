@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -31,12 +32,16 @@ from cluster_harness import (
     corpus_snapshot,
     http_request,
 )
+from reference_core import GRAPH_CORES, graph_core
 from repro.config import PipelineConfig, ServingConfig
 from repro.repager.app import RePaGerApp
 from repro.serving import parse_metrics_text
 from repro.serving.http_api import create_server, start_in_background
 
 QUERY_BODY = {"query": "pretrained language models", "use_cache": False}
+
+#: Upper bound on how long a held solve waits; only a broken test hits it.
+GATE_DEADLINE_SECONDS = 60.0
 
 
 @pytest.fixture(scope="module")
@@ -51,16 +56,22 @@ def alpha_snapshot(alpha_dir, tmp_path_factory):
     return corpus_snapshot(alpha_dir, tmp_path_factory.mktemp("snaps") / "alpha.snap")
 
 
+def _coalesced(cluster) -> float:
+    """The router's ``router_coalesced_total{corpus="alpha"}``."""
+    series = cluster.metrics().get("repager_router_coalesced_total", {})
+    return series.get((("corpus", "alpha"),), 0.0)
+
+
 def _replica_metrics(url: str) -> dict:
     response = urllib.request.urlopen(url + "/v1/metrics", timeout=30)
     return parse_metrics_text(response.read().decode())
 
 
-def _direct_payload(alpha_dir: str, backend: str, body: dict) -> str:
+def _direct_payload(alpha_dir: str, body: dict) -> str:
     """Canonical payload bytes from a single-process serve (the golden)."""
     app = RePaGerApp(
         config=ServingConfig(port=0, query_timeout_seconds=120.0),
-        pipeline_config=PipelineConfig(num_seeds=NUM_SEEDS, graph_backend=backend),
+        pipeline_config=PipelineConfig(num_seeds=NUM_SEEDS),
     )
     app.attach_directory("alpha", alpha_dir, default=True)
     server = create_server(app, config=app.config)
@@ -214,20 +225,35 @@ class TestDrain:
 
 class TestCoalescing:
     def test_16_duplicate_stampede_is_one_upstream_solve(
-        self, alpha_dir, alpha_snapshot
+        self, alpha_dir, alpha_snapshot, monkeypatch
     ):
         """16 identical in-flight queries: one reaches the replica, fifteen
-        ride the leader's future, and every response is byte-identical."""
+        ride the leader's future, and every response is byte-identical.
+
+        The leader's solve is held on a gate in the placed replica until the
+        router has counted all fifteen followers, so no follower can arrive
+        after the leader finished: the counts are exact by construction.
+        """
         with ClusterFixture(
             replicas=2, corpora={"alpha": (alpha_dir, alpha_snapshot)}
         ) as cluster:
+            gate = threading.Event()
+            pipeline = cluster.replica_for("alpha").app.registry.get(
+                "alpha"
+            ).service.pipeline
+            generate = pipeline.generate
+
+            def held_generate(*args, **kwargs):
+                assert gate.wait(timeout=GATE_DEADLINE_SECONDS), "gate never opened"
+                return generate(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, "generate", held_generate)
+
             body = {"query": "graph neural networks for citation ranking"}
-            barrier = threading.Barrier(16)
             responses: list[tuple[int, dict]] = []
             lock = threading.Lock()
 
             def fire() -> None:
-                barrier.wait()
                 result = cluster.request("POST", "/v1/corpora/alpha/query", body)
                 with lock:
                     responses.append(result[:2])
@@ -235,6 +261,13 @@ class TestCoalescing:
             threads = [threading.Thread(target=fire) for _ in range(16)]
             for thread in threads:
                 thread.start()
+            try:
+                # Failure guard only: the loop exits as soon as the count is 15.
+                deadline = time.monotonic() + GATE_DEADLINE_SECONDS
+                while _coalesced(cluster) < 15.0 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            finally:
+                gate.set()
             for thread in threads:
                 thread.join(timeout=180)
 
@@ -329,60 +362,61 @@ class TestSharedCache:
 # -- byte-identity matrix --------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["dict", "indexed"])
-def test_byte_identity_matrix(alpha_dir, alpha_snapshot, backend, tmp_path):
-    """Routed-vs-direct equivalence through every hardening path, on both
-    graph backends: a coalesced stampede, an orderly drain, and a shared
-    cache hit after SIGKILL failover all serve the direct-serve bytes."""
-    body = {"query": "pretrained language models"}
-    golden = _direct_payload(alpha_dir, backend, dict(body, use_cache=False))
-    cache_db = str(tmp_path / f"cache-{backend}.sqlite")
-    with ClusterFixture(
-        replicas=3,
-        corpora={"alpha": (alpha_dir, alpha_snapshot)},
-        graph_backend=backend,
-        cache_state=cache_db,
-    ) as cluster:
-        # 1. Coalesced stampede: concurrent duplicates, all the golden bytes.
-        barrier = threading.Barrier(6)
-        stampede: list[tuple[int, dict]] = []
-        lock = threading.Lock()
+@pytest.mark.parametrize("core", GRAPH_CORES)
+def test_byte_identity_matrix(alpha_dir, alpha_snapshot, core, tmp_path):
+    """Routed-vs-direct equivalence through every hardening path, on the
+    runtime core and on the dict reference kernels: a coalesced stampede, an
+    orderly drain, and a shared cache hit after SIGKILL failover all serve
+    the direct-serve bytes."""
+    with graph_core(core):
+        body = {"query": "pretrained language models"}
+        golden = _direct_payload(alpha_dir, dict(body, use_cache=False))
+        cache_db = str(tmp_path / "cache.sqlite")
+        with ClusterFixture(
+            replicas=3,
+            corpora={"alpha": (alpha_dir, alpha_snapshot)},
+            cache_state=cache_db,
+        ) as cluster:
+            # 1. Coalesced stampede: concurrent duplicates, all the golden bytes.
+            barrier = threading.Barrier(6)
+            stampede: list[tuple[int, dict]] = []
+            lock = threading.Lock()
 
-        def fire() -> None:
-            barrier.wait()
-            result = cluster.request("POST", "/v1/corpora/alpha/query", body)
-            with lock:
-                stampede.append(result[:2])
+            def fire() -> None:
+                barrier.wait()
+                result = cluster.request("POST", "/v1/corpora/alpha/query", body)
+                with lock:
+                    stampede.append(result[:2])
 
-        threads = [threading.Thread(target=fire) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=180)
-        assert all(status == 200 for status, _ in stampede)
-        for _, resp in stampede:
-            assert canonical_payload(resp["payload"]) == golden
+            threads = [threading.Thread(target=fire) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=180)
+            assert all(status == 200 for status, _ in stampede)
+            for _, resp in stampede:
+                assert canonical_payload(resp["payload"]) == golden
 
-        # 2. Orderly drain of the holder: the successor serves the bytes.
-        status, _, _ = cluster.drain(cluster.router.placement["alpha"])
-        assert status == 200
-        status, drained_resp, _ = cluster.request(
-            "POST", "/v1/corpora/alpha/query", body
-        )
-        assert status == 200
-        assert canonical_payload(drained_resp["payload"]) == golden
+            # 2. Orderly drain of the holder: the successor serves the bytes.
+            status, _, _ = cluster.drain(cluster.router.placement["alpha"])
+            assert status == 200
+            status, drained_resp, _ = cluster.request(
+                "POST", "/v1/corpora/alpha/query", body
+            )
+            assert status == 200
+            assert canonical_payload(drained_resp["payload"]) == golden
 
-        # 3. SIGKILL failover + shared cache: the re-placed corpus's first
-        # repeated query is a hit with the same bytes.
-        cluster.kill("alpha")
-        status, _, _ = cluster.request("POST", "/v1/corpora/alpha/query", body)
-        assert status == 503
-        status, failover_resp, _ = cluster.request(
-            "POST", "/v1/corpora/alpha/query", body
-        )
-        assert status == 200
-        assert canonical_payload(failover_resp["payload"]) == golden
-        replica_series = _replica_metrics(cluster.router.placement["alpha"])
-        assert sum(
-            replica_series["repager_cache_shared_hits_total"].values()
-        ) >= 1.0
+            # 3. SIGKILL failover + shared cache: the re-placed corpus's first
+            # repeated query is a hit with the same bytes.
+            cluster.kill("alpha")
+            status, _, _ = cluster.request("POST", "/v1/corpora/alpha/query", body)
+            assert status == 503
+            status, failover_resp, _ = cluster.request(
+                "POST", "/v1/corpora/alpha/query", body
+            )
+            assert status == 200
+            assert canonical_payload(failover_resp["payload"]) == golden
+            replica_series = _replica_metrics(cluster.router.placement["alpha"])
+            assert sum(
+                replica_series["repager_cache_shared_hits_total"].values()
+            ) >= 1.0

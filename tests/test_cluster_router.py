@@ -2,10 +2,11 @@
 
 The chaos acceptance from the ROADMAP's cluster milestone: a router fronting
 real ``serve`` replicas must return byte-identical query payloads to a
-direct single-replica serve (both graph backends), survive a replica dying
-mid-fleet — its corpora re-placed onto survivors and served *warm* from
-recorded snapshots — and never surface a bare 5xx: connection-level failures
-become ``replica_unavailable`` taxonomy errors with ``Retry-After``.
+direct single-replica serve (on the runtime core and on the dict reference
+kernels), survive a replica dying mid-fleet — its corpora re-placed onto
+survivors and served *warm* from recorded snapshots — and never surface a
+bare 5xx: connection-level failures become ``replica_unavailable`` taxonomy
+errors with ``Retry-After``.
 
 Replica health (:class:`ReplicaHealth`) is unit-tested here too, with an
 injected clock, since the router's failover timing hangs off it.
@@ -29,6 +30,7 @@ from cluster_harness import (
     http_request,
     make_replica,
 )
+from reference_core import GRAPH_CORES, graph_core
 from repro.cluster import CorpusSpec, ReplicaHealth, RouterApp
 from repro.config import CorpusConfig, PipelineConfig, ServingConfig
 from repro.corpus.generator import CorpusGenerator
@@ -149,39 +151,36 @@ class TestReplicaHealth:
 # -- end-to-end router behaviour -------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["dict", "indexed"])
-def test_routed_payload_is_byte_identical_to_direct_serve(alpha_dir, backend):
-    """The router must be invisible: same corpus, same backend, same bytes."""
-    direct = RePaGerApp(
-        config=ServingConfig(port=0, query_timeout_seconds=120.0),
-        pipeline_config=PipelineConfig(num_seeds=NUM_SEEDS, graph_backend=backend),
-    )
-    direct.attach_directory("alpha", alpha_dir, default=True)
-    direct_server = create_server(direct, config=direct.config)
-    direct_thread = start_in_background(direct_server)
-    try:
-        with ClusterFixture(
-            replicas=1,
-            corpora={"alpha": alpha_dir},
-            graph_backend=backend,
-        ) as cluster:
-            body = {"query": "pretrained language models", "use_cache": False}
-            status_d, direct_body, _ = http_request(
-                direct_server.url, "POST", "/v1/corpora/alpha/query", body
-            )
-            status_r, routed_body, headers = cluster.request(
-                "POST", "/v1/corpora/alpha/query", body
-            )
-            assert status_d == status_r == 200
-            assert headers.get("X-Request-Id")
-            assert canonical_payload(routed_body["payload"]) == canonical_payload(
-                direct_body["payload"]
-            )
-    finally:
-        direct_server.shutdown()
-        direct_server.server_close()
-        direct_thread.join(timeout=5)
-        direct.close(wait=False)
+@pytest.mark.parametrize("core", GRAPH_CORES)
+def test_routed_payload_is_byte_identical_to_direct_serve(alpha_dir, core):
+    """The router must be invisible: same corpus, same graph core, same bytes."""
+    with graph_core(core):
+        direct = RePaGerApp(
+            config=ServingConfig(port=0, query_timeout_seconds=120.0),
+            pipeline_config=PipelineConfig(num_seeds=NUM_SEEDS),
+        )
+        direct.attach_directory("alpha", alpha_dir, default=True)
+        direct_server = create_server(direct, config=direct.config)
+        direct_thread = start_in_background(direct_server)
+        try:
+            with ClusterFixture(replicas=1, corpora={"alpha": alpha_dir}) as cluster:
+                body = {"query": "pretrained language models", "use_cache": False}
+                status_d, direct_body, _ = http_request(
+                    direct_server.url, "POST", "/v1/corpora/alpha/query", body
+                )
+                status_r, routed_body, headers = cluster.request(
+                    "POST", "/v1/corpora/alpha/query", body
+                )
+                assert status_d == status_r == 200
+                assert headers.get("X-Request-Id")
+                assert canonical_payload(
+                    routed_body["payload"]
+                ) == canonical_payload(direct_body["payload"])
+        finally:
+            direct_server.shutdown()
+            direct_server.server_close()
+            direct_thread.join(timeout=5)
+            direct.close(wait=False)
 
 
 class TestCluster:

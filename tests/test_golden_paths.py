@@ -2,13 +2,15 @@
 
 Each fixture under ``tests/golden/`` freezes the reading-path output of one
 NEWST variant on the deterministic synthetic corpus.  The tests recompute the
-paths with *both* graph backends and diff them against the fixtures, which
-pins down two properties at once:
+paths twice and diff both against the fixtures:
 
-1. regression safety — any behavioural change to the pipeline (kernels, cost
-   model, ranking, reallocation) produces a visible fixture diff;
-2. backend equivalence — the indexed CSR backend must reproduce the dict
-   backend's output byte for byte, per variant and per query.
+1. regression safety — the runtime pipeline (``indexed``) must reproduce the
+   fixture, so any behavioural change to the kernels, cost model, ranking or
+   reallocation produces a visible fixture diff;
+2. reference equivalence — the same pipeline on the dict reference kernels
+   (``dict``, see ``reference_core.py``) must reproduce it too, byte for byte.
+   ``test_indexed_equivalence.py`` and ``test_query_prep_equivalence.py`` hold
+   the kernels to those references one call at a time.
 
 Fixtures are regenerated with ``PYTHONPATH=src python scripts/regen_golden.py``
 (see ``tests/golden/README.md``); only re-freeze when output is *supposed* to
@@ -26,18 +28,19 @@ from golden_utils import (
     GOLDEN_VARIANTS,
     compute_all_payloads,
     fixture_path,
+    render_fixture,
 )
+from reference_core import GRAPH_CORES, graph_core
 
 
 @pytest.fixture(scope="module")
 def golden_payloads(store, scholar_engine, citation_graph):
-    """Recomputed payloads per backend (node weights shared across variants)."""
-    return {
-        backend: compute_all_payloads(
-            store, scholar_engine, citation_graph, graph_backend=backend
-        )
-        for backend in ("dict", "indexed")
-    }
+    """Recomputed payloads per graph core (node weights shared across variants)."""
+    payloads = {}
+    for core in GRAPH_CORES:
+        with graph_core(core):
+            payloads[core] = compute_all_payloads(store, scholar_engine, citation_graph)
+    return payloads
 
 
 def load_fixture(variant: str) -> dict:
@@ -50,26 +53,17 @@ def load_fixture(variant: str) -> dict:
 
 
 @pytest.mark.parametrize("variant", GOLDEN_VARIANTS)
-@pytest.mark.parametrize("backend", ("dict", "indexed"))
-def test_variant_matches_golden_fixture(golden_payloads, variant, backend):
-    """Both backends reproduce the frozen fixture for every variant."""
-    assert golden_payloads[backend][variant] == load_fixture(variant)
+@pytest.mark.parametrize("core", GRAPH_CORES)
+def test_variant_matches_golden_fixture(golden_payloads, variant, core):
+    """Both graph cores reproduce the frozen fixture for every variant.
 
-
-@pytest.mark.parametrize("variant", GOLDEN_VARIANTS)
-def test_backends_byte_identical(golden_payloads, variant):
-    """The indexed backend's reading paths equal the dict backend's exactly.
-
-    This is stronger than both matching the fixture: it also compares the
-    payloads as serialised bytes, so a fixture regeneration can never paper
-    over a backend divergence.
+    The second check compares the payload rendered exactly as
+    ``scripts/regen_golden.py`` writes it against the file's bytes, so it
+    fails precisely when ``regen_golden.py --check`` would report drift.
     """
-    dict_payload = golden_payloads["dict"][variant]
-    indexed_payload = golden_payloads["indexed"][variant]
-    assert dict_payload == indexed_payload
-    assert json.dumps(dict_payload, sort_keys=True) == json.dumps(
-        indexed_payload, sort_keys=True
-    )
+    payload = golden_payloads[core][variant]
+    assert payload == load_fixture(variant)
+    assert render_fixture(payload) == fixture_path(variant).read_text(encoding="utf-8")
 
 
 def test_fixtures_cover_all_variants_and_queries():

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import sys
 
 import pytest
 
 from repro.config import PipelineConfig
 from repro.core.pipeline import VARIANT_CONFIGS, RePaGerPipeline, make_variant_config
 from repro.errors import PipelineError
+from repro.graph.indexed import IndexedGraph
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +72,33 @@ class TestPipelineGeneration:
         first = pipeline.generate("graph neural networks")
         second = pipeline.generate("graph neural networks")
         assert first.reading_path.papers == second.reading_path.papers
+
+
+    def test_finished_solve_releases_its_induced_snapshot(
+        self, store, scholar_engine, citation_graph, monkeypatch
+    ):
+        """Nothing in the pipeline keeps a solve's candidate snapshot alive:
+        once ``generate`` returns, the only reference left is the test's."""
+        pipeline = RePaGerPipeline(
+            store, scholar_engine, graph=citation_graph,
+            config=PipelineConfig(num_seeds=10),
+        )
+        induced = IndexedGraph.induced
+        captured: list[IndexedGraph] = []
+
+        def capture(self, nodes):
+            snapshot = induced(self, nodes)
+            captured.append(snapshot)
+            return snapshot
+
+        monkeypatch.setattr(IndexedGraph, "induced", capture)
+        pipeline.generate("information retrieval")
+        gc.collect()
+        assert len(captured) == 1
+        # One reference from ``captured``, one from getrefcount's argument
+        # (counted outside the assert, whose rewriting holds one more).
+        references = sys.getrefcount(captured[0])
+        assert references == 2
 
 
 class TestVariants:

@@ -1,12 +1,15 @@
-"""Dict-vs-indexed equivalence of the query-preparation fast path.
+"""Reference equivalence of the query-preparation stages.
 
-PR 3 moved the three per-query stages that run *before* the NEWST solve onto
-per-corpus indexes: postings-based search scoring, CSR k-hop expansion and a
-cached edge-relevance map sliced per query.  Each promises *identical* output
-to its dict reference implementation — identical search scores and tie-breaks,
-identical hop distances and ``max_nodes`` truncation, bit-identical relevance
-values.  These tests enforce those promises on the shared corpus and on
-seeded random graphs, so future index rewrites cannot silently drift.
+The three per-query stages that run *before* the NEWST solve read per-corpus
+indexes: postings-based search scoring, CSR k-hop expansion and a cached
+edge-relevance map sliced per query.  Each promises *identical* output to its
+reference implementation — :func:`~repro.search.engine.scan_search`,
+:func:`~repro.graph.traversal.k_hop_neighborhood` and
+:func:`~repro.core.weights.reference_edge_relevance` — identical search scores
+and tie-breaks, identical hop distances and ``max_nodes`` truncation,
+bit-identical relevance values.  These tests enforce those promises on the
+shared corpus and on seeded random graphs, so future index rewrites cannot
+silently drift.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ import random
 
 import pytest
 
-from repro.config import CorpusConfig, PipelineConfig
-from repro.core.pipeline import RePaGerPipeline
+from repro.config import CorpusConfig
 from repro.core.subgraph import SubgraphBuilder
-from repro.core.weights import WeightedGraphBuilder
+from repro.core.weights import WeightedGraphBuilder, reference_edge_relevance
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.storage import CorpusStore
 from repro.errors import GraphError
@@ -26,6 +28,7 @@ from repro.graph.citation_graph import CitationGraph
 from repro.graph.indexed import IndexedGraph
 from repro.graph.kernels import indexed_k_hop
 from repro.graph.traversal import k_hop_neighborhood
+from repro.search.engine import scan_search
 from repro.search.scholar import GoogleScholarEngine
 from repro.types import Paper
 
@@ -45,40 +48,33 @@ SEARCH_QUERIES = (
 
 
 @pytest.fixture(scope="module")
-def engines(store, venues):
-    return {
-        backend: GoogleScholarEngine(store, venues=venues, backend=backend)
-        for backend in ("dict", "indexed")
-    }
+def engine(store, venues):
+    return GoogleScholarEngine(store, venues=venues)
 
 
 class TestSearchEquivalence:
     @pytest.mark.parametrize("query", SEARCH_QUERIES)
-    def test_results_identical(self, engines, query):
-        expected = engines["dict"].search(query, top_k=40)
-        actual = engines["indexed"].search(query, top_k=40)
+    def test_results_identical(self, engine, query):
+        expected = scan_search(engine, query, top_k=40)
+        actual = engine.search(query, top_k=40)
         assert actual == expected  # scores, ranks and tie-breaks, exactly
 
-    def test_filters_identical(self, engines):
-        exclude = engines["dict"].search_ids("information retrieval", top_k=3)
+    def test_filters_identical(self, engine):
+        exclude = scan_search(engine, "information retrieval", top_k=3)
+        exclude_ids = [result.paper_id for result in exclude]
         for kwargs in (
             {"year_cutoff": 2008},
-            {"exclude_ids": exclude},
-            {"year_cutoff": 2015, "exclude_ids": exclude},
+            {"exclude_ids": exclude_ids},
+            {"year_cutoff": 2015, "exclude_ids": exclude_ids},
         ):
-            expected = engines["dict"].search("information retrieval", top_k=30, **kwargs)
-            actual = engines["indexed"].search("information retrieval", top_k=30, **kwargs)
+            expected = scan_search(engine, "information retrieval", top_k=30, **kwargs)
+            actual = engine.search("information retrieval", top_k=30, **kwargs)
             assert actual == expected
 
     def test_exclude_surveys_identical(self, store, venues):
-        dict_engine = GoogleScholarEngine(
-            store, venues=venues, exclude_surveys=True, backend="dict"
-        )
-        indexed_engine = GoogleScholarEngine(
-            store, venues=venues, exclude_surveys=True, backend="indexed"
-        )
+        engine = GoogleScholarEngine(store, venues=venues, exclude_surveys=True)
         query = "image processing"
-        assert indexed_engine.search(query, top_k=30) == dict_engine.search(query, top_k=30)
+        assert engine.search(query, top_k=30) == scan_search(engine, query, top_k=30)
 
     def test_query_longer_than_document(self):
         """Documents with fewer terms than the query hit ``dot``'s swapped
@@ -90,12 +86,11 @@ class TestSearchEquivalence:
         ]
         store = CorpusStore(papers=papers)
         query = "graph neural networks for large scale citation analysis"
-        dict_engine = GoogleScholarEngine(store, backend="dict")
-        indexed_engine = GoogleScholarEngine(store, backend="indexed")
-        assert indexed_engine.search(query, top_k=3) == dict_engine.search(query, top_k=3)
+        engine = GoogleScholarEngine(store)
+        assert engine.search(query, top_k=3) == scan_search(engine, query, top_k=3)
 
     def test_construction_is_lazy(self, store):
-        engine = GoogleScholarEngine(store, backend="indexed")
+        engine = GoogleScholarEngine(store)
         assert not engine._fitted
         assert not engine._vector_cache
         assert engine._postings is None
@@ -108,13 +103,12 @@ class TestSearchEquivalence:
             corpus = CorpusGenerator(
                 CorpusConfig(seed=seed, papers_per_topic=8, surveys_per_topic=1)
             ).generate()
-            dict_engine = GoogleScholarEngine(corpus.store, backend="dict")
-            indexed_engine = GoogleScholarEngine(corpus.store, backend="indexed")
+            engine = GoogleScholarEngine(corpus.store)
             rng = random.Random(seed)
             topics = ["retrieval", "networks", "learning models", "speech", "graph data"]
             for query in rng.sample(topics, 3):
-                assert indexed_engine.search(query, top_k=25) == dict_engine.search(
-                    query, top_k=25
+                assert engine.search(query, top_k=25) == scan_search(
+                    engine, query, top_k=25
                 )
 
 
@@ -213,100 +207,62 @@ class TestKHopEquivalence:
 # Edge relevance: per-corpus cache + per-query slice vs per-query recompute
 # ---------------------------------------------------------------------------
 
+#: The two relevance implementations, keyed by the graph they walk.
+RELEVANCE = {
+    "dict": lambda builder, scope: reference_edge_relevance(builder.graph, scope),
+    "indexed": lambda builder, scope: builder.edge_costs(scope).relevance,
+}
+
+
 class TestEdgeRelevanceEquivalence:
     @pytest.fixture(scope="class")
-    def builders(self, store, citation_graph, venues):
-        return {
-            backend: WeightedGraphBuilder(
-                store, citation_graph, venues=venues, graph_backend=backend
-            )
-            for backend in ("dict", "indexed")
-        }
+    def builder(self, store, citation_graph, venues):
+        return WeightedGraphBuilder(store, citation_graph, venues=venues)
 
-    def test_full_graph_relevance_identical(self, builders):
-        expected = builders["dict"].edge_costs().relevance
-        actual = builders["indexed"].edge_costs().relevance
+    def test_full_graph_relevance_identical(self, builder, citation_graph):
+        expected = reference_edge_relevance(citation_graph)
+        actual = builder.edge_costs().relevance
         assert actual == expected  # keys and bit-identical values
 
-    def test_scoped_relevance_identical(self, builders, citation_graph, scholar_engine):
+    def test_scoped_relevance_identical(self, builder, citation_graph, scholar_engine):
         seeds = scholar_engine.search_ids("image processing", top_k=10)
         candidates = SubgraphBuilder(
             citation_graph, expansion_order=2, max_nodes=400
         ).expand(seeds)
         scope = set(candidates)
-        expected = builders["dict"].edge_costs(scope).relevance
-        actual = builders["indexed"].edge_costs(scope).relevance
+        expected = reference_edge_relevance(citation_graph, scope)
+        actual = builder.edge_costs(scope).relevance
         assert actual == expected
 
-    @pytest.mark.parametrize("backend", ("dict", "indexed"))
+    @pytest.mark.parametrize("implementation", tuple(RELEVANCE))
     def test_scope_filtering_never_scores_outside_nodes(
-        self, builders, citation_graph, scholar_engine, backend
+        self, builder, citation_graph, scholar_engine, implementation
     ):
         """Satellite: nodes outside the candidate set never appear in keys."""
         seeds = scholar_engine.search_ids("machine learning", top_k=8)
         scope = set(
             SubgraphBuilder(citation_graph, expansion_order=1, max_nodes=200).expand(seeds)
         )
-        relevance = builders[backend].edge_costs(scope).relevance
+        relevance = RELEVANCE[implementation](builder, scope)
         assert relevance, "expected at least one in-scope edge"
         for u, v in relevance:
             assert u in scope and v in scope
 
-    @pytest.mark.parametrize("backend", ("dict", "indexed"))
-    def test_empty_scope_scores_nothing(self, builders, backend):
-        assert builders[backend].edge_costs(set()).relevance == {}
+    @pytest.mark.parametrize("implementation", tuple(RELEVANCE))
+    def test_empty_scope_scores_nothing(self, builder, implementation):
+        assert RELEVANCE[implementation](builder, set()) == {}
 
     def test_random_graphs_identical(self, store, venues):
         for seed in (11, 23):
             graph = make_source_major_graph(seed, 40, 4)
-            builders = {
-                backend: WeightedGraphBuilder(
-                    store, graph, venues=venues, graph_backend=backend
-                )
-                for backend in ("dict", "indexed")
-            }
-            assert (
-                builders["indexed"].edge_costs().relevance
-                == builders["dict"].edge_costs().relevance
-            )
+            builder = WeightedGraphBuilder(store, graph, venues=venues)
+            assert builder.edge_costs().relevance == reference_edge_relevance(graph)
             rng = random.Random(seed)
             scope = set(rng.sample(sorted(graph.nodes), 15)) | {"NOT-IN-GRAPH"}
-            assert (
-                builders["indexed"].edge_costs(scope).relevance
-                == builders["dict"].edge_costs(scope).relevance
+            assert builder.edge_costs(scope).relevance == reference_edge_relevance(
+                graph, scope
             )
 
-    def test_relevance_cache_is_reused(self, store, citation_graph, venues):
-        builder = WeightedGraphBuilder(
-            store, citation_graph, venues=venues, graph_backend="indexed"
-        )
+    def test_relevance_cache_is_reused(self, builder):
         first = builder.edge_relevance()
         assert builder.edge_relevance() is first
-
-
-# ---------------------------------------------------------------------------
-# Bound-cost reuse across queries sharing a candidate subgraph
-# ---------------------------------------------------------------------------
-
-class TestPreparedSubgraphCache:
-    def test_same_candidates_reuse_snapshot_and_bound_costs(
-        self, store, scholar_engine, citation_graph
-    ):
-        pipeline = RePaGerPipeline(
-            store,
-            scholar_engine,
-            graph=citation_graph,
-            config=PipelineConfig(num_seeds=10, graph_backend="indexed"),
-        )
-        first = pipeline.generate("information retrieval")
-        assert pipeline._prepared_hits == 0
-        assert len(pipeline._prepared_cache) == 1
-        entry = next(iter(pipeline._prepared_cache.values()))
-        assert entry.bound_costs is not None
-        bound_before = entry.bound_costs
-
-        second = pipeline.generate("information retrieval")
-        assert pipeline._prepared_hits == 1
-        assert next(iter(pipeline._prepared_cache.values())).bound_costs is bound_before
-        assert second.reading_path.papers == first.reading_path.papers
-        assert second.reading_path.edges == first.reading_path.edges

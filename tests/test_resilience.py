@@ -11,8 +11,9 @@ three levels:
   propagation, stale-grace cache semantics, trace sampling, the non-critical
   event-log sink, checksummed/atomic snapshot persistence;
 * application — degraded stale serves (byte-identical to the last fresh
-  payload, on both graph backends), bounded retries, deadline overrides,
-  eviction round trips across a corrupted snapshot, the worker watchdog;
+  payload, on the runtime core and on the dict reference kernels), bounded
+  retries, deadline overrides, eviction round trips across a corrupted
+  snapshot, the worker watchdog;
 * HTTP — the test-only ``/v1/faults`` surface, ``X-Request-Deadline``,
   ``Warning: 110`` on degraded responses, circuit state in corpus detail,
   and a seeded chaos flood whose disarmed re-run is byte-identical to the
@@ -34,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+from reference_core import GRAPH_CORES, graph_core
 from repro.config import (
     CorpusConfig,
     ObsConfig,
@@ -46,6 +48,7 @@ from repro.errors import (
     CircuitOpenError,
     DeadlineExceededError,
     FaultInjectedError,
+    ServingError,
     SnapshotCorruptError,
     WorkerHungError,
 )
@@ -559,7 +562,9 @@ class TestSnapshotPersistence:
         assert err.value.quarantine_path is None
         assert path.is_file()
 
-    def test_pre_checksum_versions_still_load(self, snap_service, tmp_path):
+    def test_pre_checksum_versions_are_refused(self, snap_service, tmp_path):
+        """A version-2 document (no checksum) is unsupported, not corrupt:
+        it is refused and left in place rather than quarantined."""
         snapshot = ArtifactSnapshot.capture(snap_service)
         document = {
             "version": 2,
@@ -571,9 +576,12 @@ class TestSnapshotPersistence:
         }
         path = tmp_path / "v2.json"
         path.write_text(json.dumps(document, sort_keys=True), encoding="utf-8")
-        loaded = ArtifactSnapshot.load(path)
-        assert loaded.config_fingerprint == snapshot.config_fingerprint
-        assert loaded.search_index is None
+        with pytest.raises(
+            ServingError, match="unsupported artifact snapshot version 2"
+        ):
+            ArtifactSnapshot.load(path)
+        assert path.exists()
+        assert not path.with_name(path.name + ".corrupt").exists()
 
     def test_kill_mid_capture_leaves_the_old_snapshot_intact(
         self, snap_service, tmp_path
@@ -809,54 +817,59 @@ class TestAppResilience:
         assert response.degraded is False
         assert tenant_metrics.counter("retries_total") == before + 1
 
-    @pytest.mark.parametrize("backend", ["indexed", "dict"])
-    def test_degraded_serve_is_the_last_fresh_payload(self, small_store, backend):
-        """Satellite: stale-but-marked serving on both graph backends."""
-        clock = FakeClock()
-        cache = ResultCache(
-            max_entries=32, ttl_seconds=60.0, clock=clock, stale_grace_seconds=600.0
-        )
-        app = RePaGerApp(
-            config=ServingConfig(
-                port=0,
-                max_workers=1,
+    @pytest.mark.parametrize("core", GRAPH_CORES)
+    def test_degraded_serve_is_the_last_fresh_payload(self, small_store, core):
+        """Satellite: stale-but-marked serving, on the runtime core and on the
+        dict reference kernels."""
+        with graph_core(core):
+            clock = FakeClock()
+            cache = ResultCache(
+                max_entries=32,
+                ttl_seconds=60.0,
+                clock=clock,
                 stale_grace_seconds=600.0,
-                circuit_failure_threshold=None,
-            ),
-            cache=cache,
-            pipeline_config=PipelineConfig(num_seeds=10, graph_backend=backend),
-        )
-        try:
-            app.attach_store("main", small_store, default=True)
-            fresh = app.query(QueryOptions(query="machine learning"))
-            assert fresh.degraded is False
-            assert "degraded" not in fresh.serving_meta()
+            )
+            app = RePaGerApp(
+                config=ServingConfig(
+                    port=0,
+                    max_workers=1,
+                    stale_grace_seconds=600.0,
+                    circuit_failure_threshold=None,
+                ),
+                cache=cache,
+                pipeline_config=PipelineConfig(num_seeds=10),
+            )
+            try:
+                app.attach_store("main", small_store, default=True)
+                fresh = app.query(QueryOptions(query="machine learning"))
+                assert fresh.degraded is False
+                assert "degraded" not in fresh.serving_meta()
 
-            clock.advance(61.0)  # expired for fresh traffic, within the grace
-            with armed(FaultPlan.from_specs(["steiner_solve=fail"])):
-                degraded = app.query(QueryOptions(query="machine learning"))
-            assert degraded.degraded is True
-            assert degraded.degraded_reason == "fault_injected"
-            assert degraded.cached is True
-            meta = degraded.serving_meta()
-            assert meta["degraded"] is True
-            assert meta["degraded_reason"] == "fault_injected"
-            # The degraded payload IS the last fresh payload, byte for byte.
-            assert degraded.payload.to_dict() == fresh.payload.to_dict()
+                clock.advance(61.0)  # expired for fresh traffic, within the grace
+                with armed(FaultPlan.from_specs(["steiner_solve=fail"])):
+                    degraded = app.query(QueryOptions(query="machine learning"))
+                assert degraded.degraded is True
+                assert degraded.degraded_reason == "fault_injected"
+                assert degraded.cached is True
+                meta = degraded.serving_meta()
+                assert meta["degraded"] is True
+                assert meta["degraded_reason"] == "fault_injected"
+                # The degraded payload IS the last fresh payload, byte for byte.
+                assert degraded.payload.to_dict() == fresh.payload.to_dict()
 
-            tenant_metrics = app.registry.get("main").service.metrics
-            assert tenant_metrics.counter("degraded_served_total") == 1
-            serves = app.events.tail(event="degraded_serve")
-            assert serves and serves[-1]["corpus"] == "main"
-            assert serves[-1]["detail"]["reason"] == "fault_injected"
+                tenant_metrics = app.registry.get("main").service.metrics
+                assert tenant_metrics.counter("degraded_served_total") == 1
+                serves = app.events.tail(event="degraded_serve")
+                assert serves and serves[-1]["corpus"] == "main"
+                assert serves[-1]["detail"]["reason"] == "fault_injected"
 
-            # Past the grace window the failure surfaces honestly instead.
-            clock.advance(601.0)
-            with armed(FaultPlan.from_specs(["steiner_solve=fail"])):
-                with pytest.raises(FaultInjectedError):
-                    app.query(QueryOptions(query="machine learning"))
-        finally:
-            app.close(wait=False)
+                # Past the grace window the failure surfaces honestly instead.
+                clock.advance(601.0)
+                with armed(FaultPlan.from_specs(["steiner_solve=fail"])):
+                    with pytest.raises(FaultInjectedError):
+                        app.query(QueryOptions(query="machine learning"))
+            finally:
+                app.close(wait=False)
 
     def test_circuit_opens_then_recovers(self, resilience_app):
         app = resilience_app

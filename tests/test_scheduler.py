@@ -50,7 +50,7 @@ class StubService:
         self._call_lock = threading.Lock()
 
     def readiness(self):
-        return {"graph_backend": "stub", "stub_ready": True}
+        return {"stub_ready": True}
 
     def query_with_meta(self, text, year_cutoff=None, exclude_ids=(), use_cache=True):
         with self._call_lock:

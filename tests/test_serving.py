@@ -331,7 +331,7 @@ class TestWarmup:
         assert snapshot.search_index is not None
         assert snapshot.edge_relevance
 
-        fresh_engine = GoogleScholarEngine(store, venues=venues, backend="indexed")
+        fresh_engine = GoogleScholarEngine(store, venues=venues)
         fresh = RePaGerService(
             store,
             search_engine=fresh_engine,
