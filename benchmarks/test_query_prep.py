@@ -7,9 +7,12 @@ Everything a query does *before* the NEWST solve runs on per-corpus indexes:
   path scores only papers sharing a term with the query through a per-corpus
   :class:`~repro.textproc.postings.PostingsIndex`;
 * **expansion + edge costs** — the reference walks the dict graph
-  breadth-first and re-intersects predecessor sets per edge per query
+  breadth-first, induces the candidate subgraph and re-intersects
+  predecessor sets per edge per query
   (:func:`~repro.core.weights.reference_edge_relevance`); the runtime path
-  BFSes the CSR snapshot and slices a per-corpus edge-relevance map.
+  (:meth:`~repro.core.subgraph.SubgraphBuilder.build`) BFSes the CSR snapshot
+  and marks the candidates with a mask over it, while the costs come from a
+  per-corpus edge-relevance map.
 
 Each measurement is written to ``benchmarks/BENCH_query_prep.json`` so runs
 can be compared across commits.  Thresholds and sizes honour
@@ -144,30 +147,33 @@ def test_expansion_and_edge_costs_speedup(qp_env, bench_results):
 
     snapshot = IndexedGraph.from_graph(graph)
     builder = WeightedGraphBuilder(store, graph)
-    relevance = {
-        "dict": lambda candidates: reference_edge_relevance(graph, candidates),
-        "indexed": lambda candidates: builder.edge_costs(set(candidates)).relevance,
-    }
-    expanders = {
-        "dict": SubgraphBuilder(graph, expansion_order=2, max_nodes=4000),
-        "indexed": SubgraphBuilder(
-            graph, expansion_order=2, max_nodes=4000, snapshot=snapshot
-        ),
-    }
+    dict_expander = SubgraphBuilder(graph, expansion_order=2, max_nodes=4000)
+    indexed_builder = SubgraphBuilder(
+        graph, expansion_order=2, max_nodes=4000, snapshot=snapshot
+    )
     # Per-corpus warm-up (amortised across queries, measured separately).
     relevance_build_seconds = best_of(lambda: builder.edge_relevance(), repeats=1)
 
-    def run(backend):
-        candidates = expanders[backend].expand(seeds)
-        return candidates, relevance[backend](candidates)
+    def run_dict():
+        candidates = dict_expander.expand(seeds)
+        subgraph = graph.subgraph(candidates)
+        return candidates, subgraph, reference_edge_relevance(graph, candidates)
 
-    dict_candidates, dict_relevance = run("dict")
-    indexed_candidates, indexed_relevance = run("indexed")
-    assert indexed_candidates == dict_candidates, "expansion diverged"
-    assert indexed_relevance == dict_relevance, "edge relevance diverged"
+    dict_candidates, subgraph, dict_relevance = run_dict()
+    candidates = indexed_builder.build(seeds)
+    assert candidates.hops == dict_candidates, "expansion diverged"
+    assert candidates.num_edges == subgraph.num_edges, "candidate edge count diverged"
+    unblocked = {
+        nid for nid, absent in zip(snapshot.node_ids, candidates.blocked) if not absent
+    }
+    assert unblocked == set(subgraph.nodes), "candidate mask diverged"
+    corpus_relevance = builder.edge_relevance()
+    assert {
+        key: corpus_relevance[key] for key in dict_relevance
+    } == dict_relevance, "edge relevance diverged"
 
-    dict_seconds = best_of(lambda: run("dict"))
-    indexed_seconds = best_of(lambda: run("indexed"))
+    dict_seconds = best_of(run_dict)
+    indexed_seconds = best_of(lambda: indexed_builder.build(seeds))
 
     speedup = dict_seconds / max(indexed_seconds, 1e-9)
     print_table(
@@ -175,8 +181,8 @@ def test_expansion_and_edge_costs_speedup(qp_env, bench_results):
         f"{graph.num_edges} edges, {len(dict_candidates)} candidates)",
         ["backend", "seconds", "speedup"],
         [
-            ["dict (BFS + per-edge intersections)", dict_seconds, 1.0],
-            ["indexed (CSR BFS + relevance slice)", indexed_seconds, speedup],
+            ["dict (BFS + induce + per-edge intersections)", dict_seconds, 1.0],
+            ["indexed (CSR BFS + candidate mask)", indexed_seconds, speedup],
             ["indexed one-off relevance build", relevance_build_seconds, ""],
         ],
     )

@@ -32,6 +32,7 @@ from ..config import PipelineConfig
 from ..corpus.storage import CorpusStore
 from ..errors import PipelineError
 from ..graph.citation_graph import CitationGraph
+from ..graph.indexed import BoundCosts
 from ..graph.steiner import SteinerTreeResult
 from ..obs.trace import stage
 from ..resilience.deadline import check_deadline
@@ -45,7 +46,7 @@ from .reading_path import build_reading_path, rank_path_papers
 from .reallocation import cooccurrence_counts, reallocate_seeds
 from .seeds import SeedSelector
 from .subgraph import SubgraphBuilder
-from .weights import WeightedGraphBuilder
+from .weights import EdgeCosts, WeightedGraphBuilder
 
 __all__ = ["PipelineResult", "RePaGerPipeline", "VARIANT_CONFIGS", "make_variant_config"]
 
@@ -123,12 +124,21 @@ class RePaGerPipeline:
             config=self.config.newst,
             venues=self.venues,
         )
+        self.newst = NewstModel(
+            config=self.config.newst,
+            use_node_weights=self.config.use_node_weights,
+            use_edge_weights=self.config.use_edge_weights,
+        )
         # Node weights depend only on the full graph, so compute them once and
         # share across queries (the PageRank pass dominates set-up time).  The
         # lock keeps concurrent first queries from each running their own
         # PageRank pass when the serving layer skips warm-up.
         self._node_weights = None
         self._node_weights_lock = threading.Lock()
+        # The Steiner solve's costs likewise depend only on the corpus and the
+        # NEWST-N/-E switches: bound once over the corpus snapshot.
+        self._solve_costs: tuple[EdgeCosts, BoundCosts] | None = None
+        self._solve_costs_lock = threading.Lock()
 
     # -- helpers ------------------------------------------------------------------
 
@@ -146,11 +156,29 @@ class RePaGerPipeline:
         """Per-corpus :class:`~repro.graph.indexed.IndexedGraph` snapshot.
 
         Built once (lazily, or eagerly by :func:`repro.serving.warmup.warm_up`)
-        and shared across queries: PageRank runs on it, and each query's
-        candidate subgraph is carved out of it with
-        :meth:`~repro.graph.indexed.IndexedGraph.induced`.
+        and shared across queries: PageRank runs on it, the solve's costs are
+        bound over it, and each query's candidate subgraph is a mask over it.
         """
         return self.weight_builder.indexed_snapshot()
+
+    @property
+    def solve_costs(self) -> tuple[EdgeCosts, BoundCosts]:
+        """Eq. 2 edge costs and the solve's cost arrays over :attr:`indexed_graph`.
+
+        Bound once per pipeline (lazily, or eagerly by
+        :func:`~repro.serving.warmup.warm_up`), after this variant's NEWST-N /
+        NEWST-E switches; every query's solve reads them under its candidate
+        mask.
+        """
+        if self._solve_costs is None:
+            with self._solve_costs_lock:
+                if self._solve_costs is None:
+                    edge_costs = self.weight_builder.edge_costs()
+                    bound = self.newst.bind_costs(
+                        self.indexed_graph, self.node_weights, edge_costs
+                    )
+                    self._solve_costs = (edge_costs, bound)
+        return self._solve_costs
 
     @property
     def config_fingerprint(self) -> str:
@@ -237,20 +265,20 @@ class RePaGerPipeline:
 
         # Step 3: expand to the candidate subgraph (step 2's node weights are
         # computed once per pipeline and shared).  The BFS runs on the
-        # per-corpus CSR snapshot.
+        # per-corpus CSR snapshot, and the subgraph stays a mask over it: the
+        # later steps read the corpus graph, and every pair they look at lies
+        # inside the candidate set.
         with stage("k_hop_expand") as span:
             check_deadline("k_hop_expand")
             fault_point("k_hop_expand")
-            subgraph_builder = SubgraphBuilder(
+            candidates = SubgraphBuilder(
                 self.graph,
                 expansion_order=self.config.expansion_order,
                 max_nodes=self.config.max_expanded_nodes,
                 snapshot=self.indexed_graph,
-            )
-            subgraph, candidate_hops = subgraph_builder.build(
-                initial_seeds, year_cutoff=year_cutoff, exclude_ids=exclude_ids
-            )
-            span.tag(nodes=subgraph.num_nodes, edges=subgraph.num_edges)
+            ).build(initial_seeds, year_cutoff=year_cutoff, exclude_ids=exclude_ids)
+            candidate_hops = candidates.hops
+            span.tag(nodes=len(candidate_hops), edges=candidates.num_edges)
 
         # Step 4: seed reallocation by co-occurrence.
         with stage("seed_reallocation") as span:
@@ -258,7 +286,7 @@ class RePaGerPipeline:
             fault_point("seed_reallocation")
             cooccurrence = cooccurrence_counts(self.graph, initial_seeds, candidate_hops)
             reallocated = reallocate_seeds(
-                subgraph,
+                self.graph,
                 initial_seeds,
                 candidates=candidate_hops,
                 threshold=self.config.cooccurrence_threshold,
@@ -270,34 +298,30 @@ class RePaGerPipeline:
 
         if not self.config.steiner_only:
             # NEWST-C: the reallocated papers (plus seeds) are the output —
-            # no tree, so neither edge costs nor an induced snapshot is built.
+            # no tree, so the solve's costs are never bound.
             result_path, padding = self._without_steiner(
                 query, initial_seeds, reallocated, cooccurrence, candidate_hops, pad_to
             )
             tree = None
         else:
-            # Step 5: NEWST Steiner tree and reading path.  The candidate
-            # subgraph's CSR snapshot is carved out of the per-corpus one and
-            # its Eq. 2 costs are sliced from the per-corpus relevance map.
+            # Step 5: NEWST Steiner tree and reading path.  The solve reads
+            # the per-pipeline costs (bound here on a variant's first solve
+            # when warm-up did not) under the query's candidate mask.
             with stage("edge_relevance_slice"):
                 check_deadline("edge_relevance_slice")
                 fault_point("edge_relevance_slice")
-                snapshot = self.indexed_graph.induced(candidate_hops)
-                edge_costs = self.weight_builder.edge_costs(set(candidate_hops))
-            model = NewstModel(
-                config=self.config.newst,
-                use_node_weights=self.config.use_node_weights,
-                use_edge_weights=self.config.use_edge_weights,
-            )
+                edge_costs, bound_costs = self.solve_costs
             with stage("steiner_solve") as span:
                 check_deadline("steiner_solve")
                 fault_point("steiner_solve")
-                tree = model.solve(
-                    subgraph,
+                tree = self.newst.solve(
+                    self.graph,
                     terminals,
                     self.node_weights,
                     edge_costs,
-                    snapshot=snapshot,
+                    snapshot=self.indexed_graph,
+                    costs=bound_costs,
+                    blocked=candidates.blocked,
                 )
                 span.tag(tree_nodes=len(tree.nodes), tree_edges=len(tree.edges))
             with stage("padding") as span:
@@ -310,7 +334,7 @@ class RePaGerPipeline:
                 result_path = build_reading_path(
                     query,
                     tree,
-                    subgraph,
+                    self.graph,
                     self.node_weights,
                     edge_costs=edge_costs,
                     seeds=terminals,
@@ -326,8 +350,8 @@ class RePaGerPipeline:
             reallocated_seeds=tuple(reallocated),
             terminals=tuple(terminals),
             candidate_hops=candidate_hops,
-            subgraph_nodes=subgraph.num_nodes,
-            subgraph_edges=subgraph.num_edges,
+            subgraph_nodes=len(candidate_hops),
+            subgraph_edges=candidates.num_edges,
             tree=tree,
             elapsed_seconds=elapsed,
             padding=tuple(padding),

@@ -96,8 +96,8 @@ def build_reading_path(
     Args:
         query: The original query phrases.
         tree: The NEWST tree.
-        graph: The subgraph the tree lives in (provides citation direction and
-            years for edge orientation).
+        graph: A citation graph containing the tree (provides citation
+            direction and years for edge orientation).
         node_weights: Importance scores used for node annotation and ranking.
         edge_costs: Optional edge costs; when given, each reading-path edge is
             annotated with the relevance ``con(i, j)`` so the UI can colour

@@ -2,17 +2,18 @@
 
 Starting from the initial seed papers, the pipeline captures their first- and
 second-order citation neighbours (in both directions — papers they cite and
-papers citing them) and induces the corresponding subgraph of the weighted
-citation graph.  The expansion respects an optional publication-year cutoff so
-that papers newer than the survey being evaluated never enter the candidate
-pool, and a size cap that keeps the Steiner solver tractable (nodes closest to
-the seeds are kept first, mirroring the paper's observation that most ground
-truth papers live within two hops).
+papers citing them); the Steiner tree spans the subgraph of the weighted
+citation graph that these candidates induce.  The expansion respects an
+optional publication-year cutoff so that papers newer than the survey being
+evaluated never enter the candidate pool, and a size cap that keeps the
+Steiner solver tractable (nodes closest to the seeds are kept first,
+mirroring the paper's observation that most ground truth papers live within
+two hops).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ..errors import PipelineError
 from ..graph.citation_graph import CitationGraph
@@ -20,7 +21,23 @@ from ..graph.indexed import IndexedGraph
 from ..graph.kernels import indexed_k_hop
 from ..graph.traversal import k_hop_neighborhood
 
-__all__ = ["SubgraphBuilder"]
+__all__ = ["Candidates", "SubgraphBuilder"]
+
+
+class Candidates(NamedTuple):
+    """One query's candidate subgraph, as a view of the corpus snapshot.
+
+    Attributes:
+        hops: Candidate paper id -> hop distance from the nearest seed, in
+            discovery order.
+        blocked: One byte per snapshot node, 1 for every node that is *not*
+            a candidate (the mask the Steiner solve runs under).
+        num_edges: Citation edges with both endpoints among the candidates.
+    """
+
+    hops: dict[str, int]
+    blocked: bytearray
+    num_edges: int
 
 
 class SubgraphBuilder:
@@ -29,9 +46,8 @@ class SubgraphBuilder:
     When a per-corpus :class:`IndexedGraph` snapshot of ``graph`` is supplied,
     the breadth-first expansion runs on the snapshot's flat adjacency arrays
     (:func:`~repro.graph.kernels.indexed_k_hop`) instead of walking the dict
-    graph, with identical candidates and hop distances; year filtering and
-    subgraph induction still read the dict graph, which owns the node
-    attributes.
+    graph, with identical candidates and hop distances; year filtering still
+    reads the dict graph, which owns the node attributes.
     """
 
     def __init__(
@@ -109,19 +125,38 @@ class SubgraphBuilder:
                 candidates.setdefault(seed, 0)
         return candidates
 
-    def induce(self, candidates: Iterable[str]) -> CitationGraph:
-        """Induce the subgraph of the citation graph on the candidate set."""
-        subgraph = self.graph.subgraph(candidates)
-        if subgraph.num_nodes == 0:
-            raise PipelineError("candidate expansion produced an empty subgraph")
-        return subgraph
-
     def build(
         self,
         seeds: Sequence[str],
         year_cutoff: int | None = None,
         exclude_ids: Iterable[str] = (),
-    ) -> tuple[CitationGraph, dict[str, int]]:
-        """Expand and induce in one call; returns ``(subgraph, hop_distances)``."""
-        candidates = self.expand(seeds, year_cutoff=year_cutoff, exclude_ids=exclude_ids)
-        return self.induce(candidates), candidates
+    ) -> Candidates:
+        """Expand, then mark the candidates on the snapshot.
+
+        Nothing is copied out of the corpus graph: the candidate subgraph is
+        the snapshot under the returned mask.
+
+        Raises:
+            PipelineError: If no seed is present in the citation graph, the
+                expansion keeps no candidate, or the builder has no snapshot.
+        """
+        snapshot = self.snapshot
+        if snapshot is None:
+            raise PipelineError("building the candidate mask needs the corpus snapshot")
+        hops = self.expand(seeds, year_cutoff=year_cutoff, exclude_ids=exclude_ids)
+        if not hops:
+            raise PipelineError("candidate expansion produced an empty subgraph")
+        index = snapshot.index
+        positions = [index[node] for node in hops]
+        blocked = bytearray(b"\x01") * snapshot.num_nodes
+        for i in positions:
+            blocked[i] = 0
+        offsets = snapshot.adj_offsets
+        neighbors = snapshot.adj_nodes
+        out_degree = snapshot.out_degree
+        num_edges = 0
+        for i in positions:
+            start = offsets[i]
+            cited = neighbors[start:start + out_degree[i]]
+            num_edges += len(cited) - sum(map(blocked.__getitem__, cited))
+        return Candidates(hops, blocked, num_edges)

@@ -106,7 +106,7 @@ class WeightedGraphBuilder:
         self._pagerank: dict[str, float] | None = None
         self._snapshot: IndexedGraph | None = None
         self._snapshot_lock = threading.Lock()
-        self._edge_relevance: dict[tuple[str, str], float] | None = None
+        self._edge_relevance: Mapping[tuple[str, str], float] | None = None
         self._edge_relevance_lock = threading.Lock()
 
     # -- indexed snapshot --------------------------------------------------------
@@ -114,8 +114,9 @@ class WeightedGraphBuilder:
     def indexed_snapshot(self) -> IndexedGraph:
         """The per-corpus :class:`IndexedGraph` snapshot (built once, cached).
 
-        The snapshot backs both the PageRank pass and per-query induced
-        subgraphs, so the dict graph is only ever walked once per corpus.
+        The snapshot backs the PageRank pass, the cost arrays and every
+        query's candidate mask, so the dict graph is only ever walked once
+        per corpus.
         """
         if self._snapshot is None:
             with self._snapshot_lock:
@@ -170,11 +171,12 @@ class WeightedGraphBuilder:
 
         Relevance depends only on the corpus — direct citation links between
         the pair plus the co-citation component — never on the query, so it is
-        computed once on the CSR snapshot and sliced per query by
-        :meth:`edge_costs`.  Direct links are counted straight off the edge
-        arrays; co-citation counts come from a sorted-adjacency two-pointer
-        intersection of the predecessor lists (:func:`reference_edge_relevance`
-        builds two fresh Python sets per edge instead).
+        computed once on the CSR snapshot and shared, read-only, by every
+        pipeline over the corpus.  Direct links are counted straight off the
+        edge arrays; co-citation counts come from a sorted-adjacency
+        two-pointer intersection of the predecessor lists
+        (:func:`reference_edge_relevance` builds two fresh Python sets per
+        edge instead).
 
         Memory: one dict entry per undirected adjacent pair, i.e. O(edges)
         — about 100 bytes per entry, the same order as the snapshot itself.
@@ -186,8 +188,12 @@ class WeightedGraphBuilder:
         return self._edge_relevance
 
     def prime_edge_relevance(self, relevance: Mapping[tuple[str, str], float]) -> None:
-        """Install a precomputed relevance map (artifact-snapshot restore)."""
-        self._edge_relevance = dict(relevance)
+        """Share a precomputed relevance map (snapshot restore, variant pipelines).
+
+        The map is read-only once built, so it is installed as is, like the
+        CSR snapshot: every pipeline over the corpus holds the same object.
+        """
+        self._edge_relevance = relevance
 
     def prime_indexed_snapshot(self, snapshot: IndexedGraph) -> None:
         """Share an already-built CSR snapshot (pipeline-variant services).
@@ -243,47 +249,18 @@ class WeightedGraphBuilder:
             relevance[(ids[u], ids[v])] = links
         return relevance
 
-    def edge_costs(self, nodes: set[str] | None = None) -> EdgeCosts:
-        """Build the Eq. 2 edge-cost object.
+    def edge_costs(self) -> EdgeCosts:
+        """Build the Eq. 2 edge-cost object over the whole corpus.
 
         Relevance ``con(i, j)`` counts direct citation links between ``i`` and
         ``j`` (1 or 2) plus half a point per common citing paper (co-citation).
-        When ``nodes`` is given, only edges inside that node set are scored
-        (the pipeline only ever needs costs inside the expanded subgraph).
-
-        The per-pair relevance comes from the cached per-corpus
-        :meth:`edge_relevance` map — each query only *slices* it to the
-        candidate set instead of re-intersecting predecessor sets.  The values
-        are bit-identical to :func:`reference_edge_relevance`.
+        It reads the cached per-corpus :meth:`edge_relevance` map without
+        copying it; the values are bit-identical to
+        :func:`reference_edge_relevance`.
         """
         if self.graph.num_nodes == 0:
             raise GraphError("cannot compute edge costs on an empty graph")
-        full = self.edge_relevance()
-        if nodes is None:
-            return EdgeCosts(relevance=dict(full), config=self.config)
-        snapshot = self.indexed_snapshot()
-        index = snapshot.index
-        in_scope = bytearray(snapshot.num_nodes)
-        positions: list[int] = []
-        for node in nodes:
-            i = index.get(node)
-            if i is not None:
-                in_scope[i] = 1
-                positions.append(i)
-        ids = snapshot.node_ids
-        offsets = snapshot.adj_offsets
-        targets = snapshot.adj_nodes
-        out_degree = snapshot.out_degree
-        relevance: dict[tuple[str, str], float] = {}
-        for i in positions:
-            start = offsets[i]
-            source = ids[i]
-            for j in targets[start:start + out_degree[i]]:
-                if in_scope[j]:
-                    target = ids[j]
-                    key = (source, target) if source < target else (target, source)
-                    relevance[key] = full[key]
-        return EdgeCosts(relevance=relevance, config=self.config)
+        return EdgeCosts(relevance=self.edge_relevance(), config=self.config)
 
 
 def reference_edge_relevance(
@@ -291,10 +268,10 @@ def reference_edge_relevance(
 ) -> dict[tuple[str, str], float]:
     """Eq. 2 relevance ``con(i, j)`` straight off the dict graph.
 
-    The reference :meth:`WeightedGraphBuilder.edge_costs` is held to: direct
-    links plus half a point per common citing paper, keyed ``(u, v)`` with
-    ``u < v``, restricted to edges inside ``nodes`` when given.  Only tests
-    and benchmarks call it.
+    The reference :meth:`WeightedGraphBuilder.edge_relevance` is held to:
+    direct links plus half a point per common citing paper, keyed ``(u, v)``
+    with ``u < v``, restricted to edges inside ``nodes`` when given.  Only
+    tests and benchmarks call it.
     """
     scope = set(nodes) if nodes is not None else set(graph.nodes)
     relevance: dict[tuple[str, str], float] = {}

@@ -31,13 +31,13 @@ arrays (:class:`BoundCosts`), so the kernels in :mod:`repro.graph.kernels`
 never dispatch into Python closures inside the inner loop.
 
 A snapshot is built once per corpus (see :mod:`repro.serving.warmup`) and
-reused across queries; per-query candidate subgraphs are carved out of it with
-:meth:`IndexedGraph.induced` without touching the dict graph again.
+reused across queries.  A query's candidate set is a mask over it: the
+kernels treat masked-out nodes as absent, so no per-query subgraph is built.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from ..errors import GraphError, NodeNotFoundError
 from .citation_graph import CitationGraph
@@ -74,8 +74,7 @@ def _assemble_adjacency(
     The block ordering — successors first, then predecessors that are not
     also successors — is load-bearing: the directed out-adjacency of a node
     must be the prefix of its undirected block (PageRank and directed Dijkstra
-    rely on it).  Both snapshot builders go through this one helper so the
-    invariant lives in exactly one place.
+    rely on it).
 
     Returns ``(adj_offsets, adj_nodes, adj_edge, adj_forward, out_degree)``.
     """
@@ -206,50 +205,6 @@ class IndexedGraph:
         snapshot._intern_in_adjacency(incoming)
         return snapshot
 
-    def induced(self, nodes: Iterable[str]) -> "IndexedGraph":
-        """Snapshot of the induced subgraph on ``nodes`` (unknown ids skipped).
-
-        Equivalent to ``IndexedGraph.from_graph(graph.subgraph(nodes))`` but
-        built from the parent snapshot's arrays, so per-query candidate
-        subgraphs never walk the dict graph.
-        """
-        keep = sorted(self.index[n] for n in set(nodes) if n in self.index)
-        remap = {old: new for new, old in enumerate(keep)}
-        node_ids = tuple(self.node_ids[old] for old in keep)
-
-        edge_src: list[int] = []
-        edge_dst: list[int] = []
-        successors: list[list[tuple[int, int]]] = [[] for _ in keep]  # (node, edge)
-        predecessors: list[list[tuple[int, int]]] = [[] for _ in keep]
-        offsets = self.adj_offsets
-        targets = self.adj_nodes
-        for new_u, old_u in enumerate(keep):
-            start = offsets[old_u]
-            for entry in range(start, start + self.out_degree[old_u]):
-                new_v = remap.get(targets[entry])
-                if new_v is not None:
-                    edge = len(edge_src)
-                    edge_src.append(new_u)
-                    edge_dst.append(new_v)
-                    successors[new_u].append((new_v, edge))
-                    predecessors[new_v].append((new_u, edge))
-
-        adj_offsets, adj_nodes, adj_edge, adj_forward, out_degree = (
-            _assemble_adjacency(successors, predecessors)
-        )
-        induced_snapshot = IndexedGraph(
-            node_ids=node_ids,
-            edge_src=edge_src,
-            edge_dst=edge_dst,
-            adj_offsets=adj_offsets,
-            adj_nodes=adj_nodes,
-            adj_edge=adj_edge,
-            adj_forward=adj_forward,
-            out_degree=out_degree,
-        )
-        induced_snapshot._intern_in_adjacency(predecessors)
-        return induced_snapshot
-
     # -- queries ---------------------------------------------------------------
 
     @property
@@ -278,9 +233,9 @@ class IndexedGraph:
     ) -> None:
         """Freeze the in-adjacency CSR from per-node (source, edge) pair lists.
 
-        Called by the construction paths with pairs already in the dict
-        graph's predecessor insertion order, so ``in_adjacency`` never has to
-        guess that order from the edge arrays.
+        Called by :meth:`from_graph` with pairs already in the dict graph's
+        predecessor insertion order, so ``in_adjacency`` never has to guess
+        that order from the edge arrays.
         """
         offsets = [0]
         sources: list[int] = []
@@ -295,9 +250,9 @@ class IndexedGraph:
         """Directed in-adjacency as a CSR block ``(offsets, sources)``.
 
         The sources of node ``v`` are ``sources[offsets[v]:offsets[v + 1]]``
-        in the dict graph's predecessor *insertion* order — both snapshot
-        builders intern the block at construction time from the same pair
-        lists that feed :func:`_assemble_adjacency`, so truncating kernels see
+        in the dict graph's predecessor *insertion* order — :meth:`from_graph`
+        interns the block at construction time from the same pair lists that
+        feed :func:`_assemble_adjacency`, so truncating kernels see
         predecessors exactly as :meth:`CitationGraph.predecessors` yields
         them, even for graphs whose edges were added out of source-major
         order.  The lazy fallback below (ascending source index — identical

@@ -52,17 +52,20 @@ def _dijkstra_arrays(
     undirected: bool,
     targets: set[int] | None,
     missing_targets: int,
+    blocked: bytearray | None = None,
 ) -> tuple[list[float], list[int]]:
     """Core relaxation loop: returns ``(distance, predecessor)`` arrays.
 
     ``missing_targets`` counts requested targets absent from the snapshot;
     while it is non-zero the search can never exit early, matching the dict
     implementation (an unknown target keeps its ``remaining`` set non-empty).
+    Nodes flagged in ``blocked`` start out settled, so they are never reached
+    and a blocked target, like a missing one, never ends the search early.
     """
     n = snapshot.num_nodes
     dist = [_INF] * n
     pred = [-1] * n
-    settled = bytearray(n)
+    settled = bytearray(n) if blocked is None else bytearray(blocked)
     rank = snapshot.sort_rank
     offsets = snapshot.adj_offsets
     neighbors = snapshot.adj_nodes
@@ -246,6 +249,7 @@ def indexed_metric_closure(
     snapshot: IndexedGraph,
     costs: BoundCosts,
     terminals: Sequence[str],
+    blocked: bytearray | None = None,
 ) -> tuple[dict[tuple[str, str], float], dict[tuple[str, str], list[str]]]:
     """Batched pairwise terminal distances and paths (undirected).
 
@@ -254,6 +258,12 @@ def indexed_metric_closure(
     by ordered pairs ``(u, v)`` with ``u < v``, unreachable pairs omitted.
     Unlike the dict version, each search runs on flat arrays and paths are
     materialised only for the terminal pairs, never for the whole graph.
+
+    ``blocked`` (one byte per snapshot node) masks nodes out: the result is
+    the closure of the subgraph induced by the unblocked nodes, computed in
+    place on the whole snapshot.  A blocked terminal is absent from that
+    subgraph: as a source it raises :class:`NodeNotFoundError`, as a target
+    it is unreachable.
     """
     distances: dict[tuple[str, str], float] = {}
     paths: dict[tuple[str, str], list[str]] = {}
@@ -265,11 +275,11 @@ def indexed_metric_closure(
         if not remaining:
             continue
         source_index = index.get(source)
-        if source_index is None:
+        if source_index is None or (blocked is not None and blocked[source_index]):
             raise NodeNotFoundError(source)
         target_indices, missing = _resolve_targets(snapshot, remaining)
         dist, pred = _dijkstra_arrays(
-            snapshot, costs, source_index, True, target_indices, missing
+            snapshot, costs, source_index, True, target_indices, missing, blocked
         )
         for target in remaining:
             target_index = index.get(target)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ..errors import DisconnectedTerminalsError, GraphError, NodeNotFoundError
 from .citation_graph import CitationGraph
-from .indexed import IndexedGraph
+from .indexed import BoundCosts, IndexedGraph
 from ..obs.trace import stage
 from ..resilience.deadline import check_deadline
 from ..resilience.faults import fault_point
@@ -102,6 +102,8 @@ def metric_closure(
     edge_cost: EdgeCost | None = None,
     node_cost: NodeCost | None = None,
     snapshot: IndexedGraph | None = None,
+    costs: BoundCosts | None = None,
+    blocked: bytearray | None = None,
 ) -> tuple[dict[tuple[str, str], float], dict[tuple[str, str], list[str]]]:
     """Pairwise shortest-path distances and paths between terminals.
 
@@ -110,14 +112,21 @@ def metric_closure(
             given, the closure runs on the array kernels (cost callables are
             bound to arrays once per node/edge instead of being invoked on
             every relaxation) and returns identical results.
+        costs: The cost callables already bound over ``snapshot``; skips the
+            per-call bind.
+        blocked: Mask over ``snapshot`` (1 = absent): the closure is that of
+            the subgraph induced by the unblocked nodes.
 
     Returns:
         ``(distances, paths)`` keyed by ordered terminal pairs ``(u, v)`` with
         ``u < v``.  Unreachable pairs are omitted.
     """
     if snapshot is not None:
-        costs = snapshot.bind_costs(edge_cost, node_cost)
-        return indexed_metric_closure(snapshot, costs, list(dict.fromkeys(terminals)))
+        if costs is None:
+            costs = snapshot.bind_costs(edge_cost, node_cost)
+        return indexed_metric_closure(
+            snapshot, costs, list(dict.fromkeys(terminals)), blocked
+        )
     distances: dict[tuple[str, str], float] = {}
     paths: dict[tuple[str, str], list[str]] = {}
     terminal_list = list(dict.fromkeys(terminals))
@@ -156,6 +165,8 @@ def node_edge_weighted_steiner_tree(
     node_cost: NodeCost | None = None,
     require_all_terminals: bool = True,
     snapshot: IndexedGraph | None = None,
+    costs: BoundCosts | None = None,
+    blocked: bytearray | None = None,
 ) -> SteinerTreeResult:
     """Compute a node-edge weighted Steiner tree spanning ``terminals``.
 
@@ -169,6 +180,12 @@ def node_edge_weighted_steiner_tree(
             tree spans only the terminals in the largest reachable group.
         snapshot: Optional :class:`IndexedGraph` view of ``graph``; routes the
             metric closure (the dominant cost) through the array kernels.
+        costs: ``edge_cost`` / ``node_cost`` already bound over ``snapshot``
+            (see :meth:`IndexedGraph.bind_costs`); skips the per-solve bind.
+        blocked: Mask over ``snapshot`` (1 = absent).  The tree is the one
+            ``graph.subgraph`` of the unblocked nodes would give, without
+            building that subgraph: the closure runs masked, and the later
+            steps only touch nodes on its paths.
 
     Returns:
         A :class:`SteinerTreeResult`.
@@ -186,7 +203,9 @@ def node_edge_weighted_steiner_tree(
     if not terminal_list:
         raise GraphError("Steiner tree requires at least one terminal")
     for terminal in terminal_list:
-        if terminal not in graph:
+        if terminal not in graph or (
+            blocked is not None and blocked[snapshot.index[terminal]]
+        ):
             raise NodeNotFoundError(terminal)
 
     if len(terminal_list) == 1:
@@ -206,7 +225,7 @@ def node_edge_weighted_steiner_tree(
         check_deadline("metric_closure")
         fault_point("metric_closure")
         distances, closure_paths = metric_closure(
-            graph, terminal_list, edge_cost, node_cost, snapshot=snapshot
+            graph, terminal_list, edge_cost, node_cost, snapshot, costs, blocked
         )
         span.tag(num_terminals=len(terminal_list), num_pairs=len(distances))
 

@@ -2,9 +2,9 @@
 
 The expensive parts of answering a query are split between *per-corpus*
 artifacts (the PageRank pass behind Eq. 3 node weights, venue scores, the
-citation-graph adjacency, the inverted search index, the edge-relevance map)
-and *per-query* work (subgraph expansion, seed reallocation, the Steiner
-tree).  The per-corpus artifacts are computed lazily by
+citation-graph adjacency, the inverted search index, the edge-relevance map,
+the Steiner solve's cost arrays) and *per-query* work (subgraph expansion,
+seed reallocation, the Steiner tree).  The per-corpus artifacts are computed lazily by
 :class:`~repro.core.pipeline.RePaGerPipeline` and the search engine, which
 means the first query of a fresh process pays for all of them.
 
@@ -325,10 +325,10 @@ def warm_up(
     """Precompute (or restore) every shared per-corpus artifact of a service.
 
     This covers the CSR graph snapshot, Eq. 3 node weights (PageRank + venue
-    scores), the inverted search index and the edge-relevance map.  After
-    this returns, concurrent queries only ever *read* the shared state, which
-    is what makes the batch executor's thread pool safe without locks on the
-    hot path.
+    scores), the inverted search index, the edge-relevance map and the
+    Steiner solve's cost arrays bound over the snapshot.  After this returns,
+    concurrent queries only ever *read* the shared state, which is what makes
+    the batch executor's thread pool safe without locks on the hot path.
 
     ``snapshot`` may be a ready :class:`ArtifactSnapshot` or a filesystem
     path to one (the ``/v1`` warm-attach body and the eviction re-attach path
@@ -341,14 +341,15 @@ def warm_up(
         snapshot.restore_into(service)
     pipeline = service.pipeline
     # Build the per-corpus CSR snapshot eagerly: it backs the PageRank pass
-    # below, every query's induced candidate subgraph, and the edge-relevance
-    # precomputation.
+    # below, the edge-relevance precomputation, the cost arrays and every
+    # query's candidate mask.
     pipeline.indexed_graph
     edge_relevance_entries = len(pipeline.weight_builder.edge_relevance())
     search_index_terms = 0
     if isinstance(service.search_engine, SearchEngine):
         search_index_terms = service.search_engine.ensure_index().num_terms
     weights = pipeline.node_weights  # forces PageRank + venue scores
+    pipeline.solve_costs  # binds the solve's costs over the snapshot
     elapsed = time.perf_counter() - started
     return WarmupReport(
         config_fingerprint=pipeline.config_fingerprint,

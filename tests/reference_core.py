@@ -12,7 +12,9 @@ can also check that the references alone reproduce the same bytes:
 * expansion: :class:`~repro.core.subgraph.SubgraphBuilder` without a snapshot
   (dict BFS);
 * edge costs: :func:`~repro.core.weights.reference_edge_relevance`;
-* Steiner solve: the metric closure without a snapshot (dict Dijkstra).
+* Steiner solve: a dict induce of the candidate set
+  (:meth:`~repro.graph.citation_graph.CitationGraph.subgraph`) and the metric
+  closure without a snapshot (dict Dijkstra) on it.
 
 Tests parametrize over :data:`GRAPH_CORES` and enter :func:`graph_core`.  The
 patches are class- and module-level, so in-process serve replicas started
@@ -59,18 +61,27 @@ def _dict_pagerank_scores(self) -> Mapping[str, float]:
     return self._pagerank
 
 
-def _reference_edge_costs(self, nodes=None) -> EdgeCosts:
-    return EdgeCosts(
-        relevance=reference_edge_relevance(self.graph, nodes), config=self.config
-    )
+def _reference_edge_costs(self) -> EdgeCosts:
+    return EdgeCosts(relevance=reference_edge_relevance(self.graph), config=self.config)
 
 
-def _dict_subgraph_builder(graph, *, snapshot=None, **kwargs) -> SubgraphBuilder:
-    return SubgraphBuilder(graph, **kwargs)
+class _DictExpansion(SubgraphBuilder):
+    """Expands with the dict BFS; only the candidate mask reads the snapshot."""
+
+    def expand(self, *args, **kwargs):
+        dict_builder = SubgraphBuilder(
+            self.graph, expansion_order=self.expansion_order, max_nodes=self.max_nodes
+        )
+        return dict_builder.expand(*args, **kwargs)
 
 
-def _dict_steiner_tree(*args, snapshot=None, **kwargs):
-    return node_edge_weighted_steiner_tree(*args, **kwargs)
+def _dict_steiner_tree(graph, terminals, *, snapshot=None, costs=None, blocked=None,
+                       **kwargs):
+    if blocked is not None:
+        graph = graph.subgraph(
+            node for node, absent in zip(snapshot.node_ids, blocked) if not absent
+        )
+    return node_edge_weighted_steiner_tree(graph, terminals, **kwargs)
 
 
 @contextlib.contextmanager
@@ -80,7 +91,7 @@ def dict_reference_core() -> Iterator[None]:
         patch.setattr(SearchEngine, "search", _scan_search)
         patch.setattr(WeightedGraphBuilder, "pagerank_scores", _dict_pagerank_scores)
         patch.setattr(WeightedGraphBuilder, "edge_costs", _reference_edge_costs)
-        patch.setattr(pipeline_module, "SubgraphBuilder", _dict_subgraph_builder)
+        patch.setattr(pipeline_module, "SubgraphBuilder", _DictExpansion)
         patch.setattr(
             newst_module, "node_edge_weighted_steiner_tree", _dict_steiner_tree
         )

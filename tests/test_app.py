@@ -25,6 +25,7 @@ from repro.repager.app import (
     QueryOptions,
     QueryResponse,
     RePaGerApp,
+    Tenant,
     normalize_variant,
 )
 from repro.repager.service import RePaGerService
@@ -260,6 +261,30 @@ class TestRePaGerApp:
         assert "NEWST-N" in tenant.variants_loaded()
         # NEWST (empty override) resolves to the base service itself.
         assert tenant.service_for("NEWST") is tenant.service
+
+    def test_variant_builders_hold_the_base_relevance_map(
+        self, app, store, scholar_engine, citation_graph, venues
+    ):
+        """Priming shares the read-only edge-relevance map both ways instead
+        of copying it: base -> variant at build time, and variant -> base
+        when only variant traffic warmed the tenant."""
+        tenant = app.registry.get("main")
+        base = tenant.service.pipeline.weight_builder
+        variant = tenant.service_for("NEWST-E").pipeline.weight_builder
+        assert base.primed_edge_relevance is not None
+        assert variant.primed_edge_relevance is base.primed_edge_relevance
+
+        cold = Tenant("cold", RePaGerService(
+            store, search_engine=scholar_engine,
+            pipeline_config=PipelineConfig(num_seeds=10), venues=venues, graph=citation_graph,
+        ))
+        warmed = cold.service_for("NEWST-W").pipeline
+        warmed.weight_builder.prime_edge_relevance(base.primed_edge_relevance)
+        warmed.prime_node_weights(tenant.service.pipeline.node_weights)
+        cold.ensure_base_primed()
+        assert cold.service.pipeline.weight_builder.primed_edge_relevance is (
+            base.primed_edge_relevance
+        )
 
     def test_per_corpus_health_reports_readiness(self, app):
         health = app.health("main")

@@ -13,6 +13,7 @@ from repro.core.subgraph import SubgraphBuilder
 from repro.core.weights import WeightedGraphBuilder
 from repro.errors import PipelineError
 from repro.graph.citation_graph import CitationGraph
+from repro.graph.indexed import IndexedGraph
 from repro.search.serapi import SerApiClient
 
 
@@ -63,7 +64,7 @@ class TestWeights:
 
     def test_edge_cost_formula(self, weight_builder, citation_graph):
         some_edge = next(iter(citation_graph.edges()))
-        edge_costs = weight_builder.edge_costs({some_edge[0], some_edge[1]})
+        edge_costs = weight_builder.edge_costs()
         config = weight_builder.config
         relevance = edge_costs.con(*some_edge)
         assert relevance >= 1.0
@@ -73,11 +74,10 @@ class TestWeights:
 
     def test_edge_cost_is_symmetric(self, weight_builder, citation_graph):
         u, v = next(iter(citation_graph.edges()))
-        edge_costs = weight_builder.edge_costs({u, v})
+        edge_costs = weight_builder.edge_costs()
         assert edge_costs.cost(u, v) == pytest.approx(edge_costs.cost(v, u))
 
     def test_stronger_relevance_means_cheaper_edge(self, weight_builder):
-        edge_costs = weight_builder.edge_costs(set())
         cheap = weight_builder.config.alpha / (3.0 ** weight_builder.config.beta)
         assert cheap < weight_builder.config.alpha
 
@@ -116,12 +116,25 @@ class TestSubgraphBuilder:
             builder.expand(["NOT-A-PAPER"])
 
     def test_induced_subgraph_contains_candidates(self, citation_graph, scholar_engine):
+        """``build`` marks exactly the candidates on the snapshot and counts
+        the edges of the subgraph they induce, without building it."""
         seeds = scholar_engine.search_ids("deep learning", top_k=5)
-        builder = SubgraphBuilder(citation_graph, expansion_order=1, max_nodes=400)
-        subgraph, candidates = builder.build(seeds)
-        assert set(subgraph.nodes) == set(candidates)
-        for source, target in subgraph.edges():
-            assert citation_graph.has_edge(source, target)
+        snapshot = IndexedGraph.from_graph(citation_graph)
+        builder = SubgraphBuilder(
+            citation_graph, expansion_order=1, max_nodes=400, snapshot=snapshot
+        )
+        candidates = builder.build(seeds)
+        assert candidates.hops == builder.expand(seeds)
+        unblocked = {
+            node for node, absent in zip(snapshot.node_ids, candidates.blocked) if not absent
+        }
+        assert unblocked == set(candidates.hops)
+        assert candidates.num_edges == citation_graph.subgraph(candidates.hops).num_edges
+
+    def test_build_needs_the_snapshot(self, citation_graph, scholar_engine):
+        seeds = scholar_engine.search_ids("deep learning", top_k=5)
+        with pytest.raises(PipelineError):
+            SubgraphBuilder(citation_graph).build(seeds)
 
 
 class TestReallocation:
@@ -189,10 +202,10 @@ class TestNewstModelAndReadingPath:
     def _small_setup(self, citation_graph, scholar_engine, weight_builder):
         seeds = scholar_engine.search_ids("hate speech detection", top_k=15)
         builder = SubgraphBuilder(citation_graph, expansion_order=2, max_nodes=600)
-        subgraph, candidates = builder.build(seeds)
+        candidates = builder.expand(seeds)
+        subgraph = citation_graph.subgraph(candidates)
         terminals = reallocate_seeds(subgraph, seeds, candidates=candidates, threshold=2)
-        edge_costs = weight_builder.edge_costs(set(candidates))
-        return subgraph, terminals, edge_costs
+        return subgraph, terminals, weight_builder.edge_costs()
 
     def test_tree_spans_present_terminals(self, citation_graph, scholar_engine,
                                           weight_builder, node_weights):

@@ -3,10 +3,11 @@
 The indexed graph core (:mod:`repro.graph.indexed` / :mod:`repro.graph.kernels`)
 promises *identical* results to the dict implementations — same distances and
 predecessors from Dijkstra (heap ties included), same metric closure, same
-Steiner trees, bit-identical PageRank.  These tests enforce that promise on
-seeded random graphs sweeping density, weight regimes (including the tie-heavy
-unit-cost case) and disconnected components, so future kernel rewrites cannot
-silently drift.
+Steiner trees, bit-identical PageRank — and a closure run under a candidate
+mask equals the dict closure on the subgraph the candidates induce.  These
+tests enforce that promise on seeded random graphs sweeping density, weight
+regimes (including the tie-heavy unit-cost case) and disconnected components,
+so future kernel rewrites cannot silently drift.
 """
 
 from __future__ import annotations
@@ -204,14 +205,8 @@ def test_k_hop_truncation_equivalence(seed, n, factor, weighted, components):
                 assert actual == expected
 
 
-def test_k_hop_truncation_with_out_of_order_edges():
-    """Regression: edges added target-first must truncate like the dict graph.
-
-    Before the predecessor-order array was interned, the snapshot's lazy
-    in-adjacency followed ascending source index, so a graph built in
-    non-source-major order truncated a different node set once ``max_nodes``
-    bit mid-scan.
-    """
+def make_out_of_order_graph() -> CitationGraph:
+    """A star whose edges were added target-first, not in source-major order."""
     graph = CitationGraph()
     for name in ("HUB", "Z", "M", "A", "Q"):
         graph.add_node(name)
@@ -221,6 +216,18 @@ def test_k_hop_truncation_with_out_of_order_edges():
     graph.add_edge("M", "HUB")
     graph.add_edge("A", "HUB")
     graph.add_edge("Q", "HUB")
+    return graph
+
+
+def test_k_hop_truncation_with_out_of_order_edges():
+    """Regression: edges added target-first must truncate like the dict graph.
+
+    Before the predecessor-order array was interned, the snapshot's lazy
+    in-adjacency followed ascending source index, so a graph built in
+    non-source-major order truncated a different node set once ``max_nodes``
+    bit mid-scan.
+    """
+    graph = make_out_of_order_graph()
     snapshot = IndexedGraph.from_graph(graph)
     for direction in ("in", "both"):
         for cap in (2, 3):
@@ -234,17 +241,67 @@ def test_k_hop_truncation_with_out_of_order_edges():
             assert list(actual) == list(expected)
 
 
+def masked_cases(graph: CitationGraph, rng: random.Random):
+    """Seeded ``(candidates, terminals)`` draws, terminals inside the candidates.
+
+    Three random candidate sets of shrinking size, then one that drops every
+    neighbour of a terminal — its bridges to the rest of the graph — so that
+    terminal pairs reachable in the whole graph become unreachable.
+    """
+    nodes = sorted(graph.nodes)
+    for fraction in (0.8, 0.6, 0.4):
+        kept = rng.sample(nodes, max(2, round(len(nodes) * fraction)))
+        yield kept, rng.sample(kept, min(6, len(kept)))
+    lone = rng.choice([node for node in nodes if graph.degree(node)])
+    bridges = set(graph.neighbors(lone))
+    kept = [node for node in nodes if node not in bridges]
+    others = [node for node in kept if node != lone]
+    yield kept, [lone, *rng.sample(others, min(5, len(others)))]
+
+
+def check_masked_solve(graph, edge_cost, node_cost, rng) -> int:
+    """Assert the masked solve on the whole snapshot equals the dict solve on
+    the induced subgraph: distances, paths, tree nodes and tree edges.
+
+    The costs are bound once over the whole graph, as the pipeline binds them
+    over the corpus.  Returns how many terminal pairs the masks cut off
+    (reachable in the whole graph, unreachable among the candidates).
+    """
+    snapshot = IndexedGraph.from_graph(graph)
+    costs = snapshot.bind_costs(edge_cost, node_cost)
+    cut = 0
+    for kept, terminals in masked_cases(graph, rng):
+        kept_set = set(kept)
+        blocked = bytearray(node not in kept_set for node in snapshot.node_ids)
+        induced = graph.subgraph(kept)
+        masked = {"snapshot": snapshot, "costs": costs, "blocked": blocked}
+        expected = metric_closure(induced, terminals, edge_cost, node_cost)
+        assert metric_closure(graph, terminals, edge_cost, node_cost, **masked) == expected
+        whole, _ = metric_closure(graph, terminals, edge_cost, node_cost)
+        cut += len(whole.keys() - expected[0].keys())
+
+        expected_tree = node_edge_weighted_steiner_tree(
+            induced, terminals, edge_cost, node_cost, require_all_terminals=False
+        )
+        actual_tree = node_edge_weighted_steiner_tree(
+            graph, terminals, edge_cost, node_cost, require_all_terminals=False, **masked
+        )
+        assert actual_tree.nodes == expected_tree.nodes
+        assert actual_tree.edges == expected_tree.edges
+        assert actual_tree.terminals == expected_tree.terminals
+    return cut
+
+
+@pytest.mark.parametrize("seed,n,factor,weighted,components", CASES)
+def test_masked_solve_matches_induced_subgraph(seed, n, factor, weighted, components):
+    graph, edge_cost, node_cost, rng = make_random_case(seed, n, factor, weighted, components)
+    assert check_masked_solve(graph, edge_cost, node_cost, rng) > 0, "no terminal pair cut"
+
+
 def test_induced_snapshot_matches_from_graph_of_subgraph():
+    """A candidate mask over the parent snapshot stands in for the induced
+    subgraph, also on the out-of-order-edges star, whose hub is the only
+    bridge between any two of its leaves."""
     graph, edge_cost, node_cost, rng = make_random_case(10, 40, 3.0, True, 1)
-    parent = IndexedGraph.from_graph(graph)
-    kept = rng.sample(sorted(graph.nodes), 25)
-    induced = parent.induced(kept)
-    direct = IndexedGraph.from_graph(graph.subgraph(kept))
-    assert set(induced.node_ids) == set(direct.node_ids)
-    assert induced.num_edges == direct.num_edges
-    # Same search results either way.
-    source = min(induced.node_ids)
-    a = indexed_dijkstra(induced, source, edge_cost, node_cost)
-    b = indexed_dijkstra(direct, source, edge_cost, node_cost)
-    assert dict(a.distances) == dict(b.distances)
-    assert dict(a.predecessors) == dict(b.predecessors)
+    assert check_masked_solve(graph, edge_cost, node_cost, rng) > 0
+    assert check_masked_solve(make_out_of_order_graph(), None, None, random.Random(10)) > 0

@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import dataclasses
-import gc
-import sys
 
 import pytest
 
+from reference_core import dict_reference_core
 from repro.config import PipelineConfig
+from repro.core import newst as newst_module
 from repro.core.pipeline import VARIANT_CONFIGS, RePaGerPipeline, make_variant_config
 from repro.errors import PipelineError
+from repro.graph.citation_graph import CitationGraph
 from repro.graph.indexed import IndexedGraph
+from repro.graph.steiner import node_edge_weighted_steiner_tree
+from repro.repager.app import Tenant
+from repro.repager.service import RePaGerService
+from repro.serving.warmup import warm_up
 
 
 @pytest.fixture(scope="module")
@@ -75,30 +80,83 @@ class TestPipelineGeneration:
 
 
     def test_finished_solve_releases_its_induced_snapshot(
-        self, store, scholar_engine, citation_graph, monkeypatch
+        self, store, scholar_engine, citation_graph, venues, monkeypatch
     ):
-        """Nothing in the pipeline keeps a solve's candidate snapshot alive:
-        once ``generate`` returns, the only reference left is the test's."""
-        pipeline = RePaGerPipeline(
-            store, scholar_engine, graph=citation_graph,
-            config=PipelineConfig(num_seeds=10),
+        """A warmed solve copies nothing out of the corpus: no Table III
+        variant's ``generate`` induces a dict subgraph, snapshots a graph or
+        binds costs — each query is a mask over the per-corpus snapshot."""
+        base = RePaGerService(
+            store, search_engine=scholar_engine,
+            pipeline_config=PipelineConfig(num_seeds=10), venues=venues, graph=citation_graph,
         )
-        induced = IndexedGraph.induced
-        captured: list[IndexedGraph] = []
+        tenant = Tenant("main", base)
+        services = [tenant.service_for(variant) for variant in VARIANT_CONFIGS]
+        for service in services:
+            warm_up(service)
 
-        def capture(self, nodes):
-            snapshot = induced(self, nodes)
-            captured.append(snapshot)
-            return snapshot
+        def copy(*args, **kwargs):
+            raise AssertionError("generate copied the corpus graph")
 
-        monkeypatch.setattr(IndexedGraph, "induced", capture)
-        pipeline.generate("information retrieval")
-        gc.collect()
-        assert len(captured) == 1
-        # One reference from ``captured``, one from getrefcount's argument
-        # (counted outside the assert, whose rewriting holds one more).
-        references = sys.getrefcount(captured[0])
-        assert references == 2
+        monkeypatch.setattr(CitationGraph, "subgraph", copy)
+        monkeypatch.setattr(IndexedGraph, "from_graph", copy)
+        monkeypatch.setattr(IndexedGraph, "bind_costs", copy)
+        for service in services:
+            assert service.pipeline.generate("information retrieval").reading_path.papers
+
+
+def _unmasked_steiner_tree(*args, blocked=None, **kwargs):
+    """The Steiner solve with the candidate mask dropped: a restriction bug."""
+    return node_edge_weighted_steiner_tree(*args, **kwargs)
+
+
+class TestCandidateMask:
+    """The solve runs on the corpus snapshot, so only the candidate mask keeps
+    excluded and post-cutoff papers out of the tree."""
+
+    @pytest.mark.parametrize(
+        "query,year,survey_id",
+        [
+            # Unmasked, the tree runs through the excluded survey itself ...
+            ("privacy preserving computation", 2017, "P003012"),
+            # ... or through a paper published after the cutoff.
+            ("information visualization", 2017, "P003015"),
+        ],
+    )
+    def test_tree_stays_inside_the_candidate_set(
+        self, pipeline, store, scholar_engine, citation_graph, monkeypatch,
+        query, year, survey_id,
+    ):
+        def generate():
+            fresh = RePaGerPipeline(store, scholar_engine, graph=citation_graph)
+            fresh.prime_node_weights(pipeline.node_weights)
+            return fresh.generate(query, year_cutoff=year, exclude_ids=(survey_id,))
+
+        def leaked(papers):
+            return [
+                paper for paper in papers
+                if paper == survey_id or citation_graph.get_node_attr(paper, "year") > year
+            ]
+
+        result = generate()
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                newst_module, "node_edge_weighted_steiner_tree", _unmasked_steiner_tree
+            )
+            unmasked = generate()
+        # The case detects a solve that ignores the mask ...
+        assert unmasked.tree.nodes != result.tree.nodes
+        assert leaked(unmasked.tree.nodes)
+
+        # ... the masked solve equals the dict solve on the induced subgraph ...
+        with dict_reference_core():
+            reference = generate()
+        assert result.tree.nodes == reference.tree.nodes
+        assert result.tree.edges == reference.tree.edges
+        assert result.reading_path == reference.reading_path
+
+        # ... and neither the tree nor its padding leaves the candidate set.
+        assert not leaked(result.reading_path.papers)
+        assert set(result.reading_path.papers) <= set(result.candidate_hops)
 
 
 class TestVariants:

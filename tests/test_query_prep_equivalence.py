@@ -1,8 +1,8 @@
 """Reference equivalence of the query-preparation stages.
 
-The three per-query stages that run *before* the NEWST solve read per-corpus
-indexes: postings-based search scoring, CSR k-hop expansion and a cached
-edge-relevance map sliced per query.  Each promises *identical* output to its
+The per-query stages that run *before* the NEWST solve read per-corpus
+indexes: postings-based search scoring and CSR k-hop expansion, and the solve
+reads a per-corpus edge-relevance map.  Each promises *identical* output to its
 reference implementation — :func:`~repro.search.engine.scan_search`,
 :func:`~repro.graph.traversal.k_hop_neighborhood` and
 :func:`~repro.core.weights.reference_edge_relevance` — identical search scores
@@ -204,13 +204,21 @@ class TestKHopEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# Edge relevance: per-corpus cache + per-query slice vs per-query recompute
+# Edge relevance: per-corpus cache vs per-query recompute
 # ---------------------------------------------------------------------------
+
+
+def restricted(relevance, scope):
+    """The pairs of a relevance map with both endpoints in ``scope``."""
+    return {
+        (u, v): value for (u, v), value in relevance.items() if u in scope and v in scope
+    }
+
 
 #: The two relevance implementations, keyed by the graph they walk.
 RELEVANCE = {
     "dict": lambda builder, scope: reference_edge_relevance(builder.graph, scope),
-    "indexed": lambda builder, scope: builder.edge_costs(scope).relevance,
+    "indexed": lambda builder, scope: restricted(builder.edge_relevance(), scope),
 }
 
 
@@ -231,7 +239,7 @@ class TestEdgeRelevanceEquivalence:
         ).expand(seeds)
         scope = set(candidates)
         expected = reference_edge_relevance(citation_graph, scope)
-        actual = builder.edge_costs(scope).relevance
+        actual = restricted(builder.edge_relevance(), scope)
         assert actual == expected
 
     @pytest.mark.parametrize("implementation", tuple(RELEVANCE))
@@ -259,7 +267,7 @@ class TestEdgeRelevanceEquivalence:
             assert builder.edge_costs().relevance == reference_edge_relevance(graph)
             rng = random.Random(seed)
             scope = set(rng.sample(sorted(graph.nodes), 15)) | {"NOT-IN-GRAPH"}
-            assert builder.edge_costs(scope).relevance == reference_edge_relevance(
+            assert restricted(builder.edge_relevance(), scope) == reference_edge_relevance(
                 graph, scope
             )
 

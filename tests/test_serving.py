@@ -342,7 +342,8 @@ class TestWarmup:
         snapshot.restore_into(fresh)
         assert fresh_engine._fitted
         assert fresh_engine._postings is not None
-        assert fresh.pipeline.weight_builder._edge_relevance is not None
+        # Restored as is: the pipeline shares the snapshot's map, no copy.
+        assert fresh.pipeline.weight_builder._edge_relevance is snapshot.edge_relevance
         # The restored engine ranks exactly like the capture-side engine.
         assert fresh_engine.search_ids("image processing", top_k=10) == (
             serving_service.search_engine.search_ids("image processing", top_k=10)
