@@ -13,7 +13,7 @@ same way (:mod:`repro.cluster.cache`) so a corpus re-placed after failover
 serves repeated queries warm.
 """
 
-from .cache import CacheStore, InMemoryCacheStore, SqliteCacheStore
+from .cache import CacheStore, SqliteCacheStore
 from .health import ReplicaHealth
 from .ring import ConsistentHashRing
 from .router import (
@@ -29,7 +29,6 @@ __all__ = [
     "CacheStore",
     "ConsistentHashRing",
     "CorpusSpec",
-    "InMemoryCacheStore",
     "InMemoryQuotaStore",
     "QuotaStore",
     "ReplicaHealth",

@@ -11,8 +11,6 @@ the same way :mod:`repro.cluster.state` externalised admission:
   payload bytes with a per-entry TTL.  The service owns serialisation (the
   wire form round-trips a :class:`~repro.repager.service.PathPayload`
   byte-identically), the store owns durability.
-* :class:`InMemoryCacheStore` — the default; a process-local dict with the
-  injected monotonic clock, so single-replica deployments pay nothing new.
 * :class:`SqliteCacheStore` — a WAL-mode sqlite file shared across replicas
   (``serve --cache-state PATH``), one row per ``(namespace, key)`` with an
   absolute wall-clock expiry.  Expired rows are deleted lazily on read;
@@ -22,17 +20,16 @@ the same way :mod:`repro.cluster.state` externalised admission:
 
 The local :class:`~repro.serving.cache.ResultCache` stays in front as an L1:
 a shared-store hit is promoted into it, so the sqlite file is only consulted
-once per (replica, key) per TTL window.
+once per (replica, key) per TTL window.  Without ``--cache-state`` there is
+no shared store at all (``RePaGerService.shared_cache`` is ``None``): each
+replica caches in its own L1 only.
 """
 
 from __future__ import annotations
 
-import sqlite3
-import threading
-import time
-from typing import Callable
+from .sqlite import SqliteFile
 
-__all__ = ["CacheStore", "InMemoryCacheStore", "SqliteCacheStore"]
+__all__ = ["CacheStore", "SqliteCacheStore"]
 
 
 class CacheStore:
@@ -65,83 +62,24 @@ class CacheStore:
         return {"backend": type(self).__name__}
 
 
-class InMemoryCacheStore(CacheStore):
-    """Process-local shared cache; useful as a default and in tests.
-
-    The clock is injectable (monotonic by default) so TTL expiry can be
-    driven deterministically, matching :class:`~repro.serving.cache.
-    ResultCache`'s convention.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
-        self._clock = clock
-        self._lock = threading.Lock()
-        #: (namespace, key) -> (value, expires_at)
-        self._entries: dict[tuple[str, str], tuple[bytes, float]] = {}
-
-    def get(self, namespace: str, key: str) -> bytes | None:
-        with self._lock:
-            entry = self._entries.get((namespace, key))
-            if entry is None:
-                return None
-            value, expires_at = entry
-            if self._clock() >= expires_at:
-                del self._entries[(namespace, key)]
-                return None
-            return value
-
-    def put(
-        self, namespace: str, key: str, value: bytes, ttl_seconds: float
-    ) -> None:
-        with self._lock:
-            self._entries[(namespace, key)] = (
-                value,
-                self._clock() + ttl_seconds,
-            )
-
-    def drop_namespace(self, namespace: str) -> int:
-        with self._lock:
-            doomed = [pair for pair in self._entries if pair[0] == namespace]
-            for pair in doomed:
-                del self._entries[pair]
-            return len(doomed)
-
-
-class SqliteCacheStore(CacheStore):
+class SqliteCacheStore(SqliteFile, CacheStore):
     """File-backed shared cache surviving restarts and spanning replicas.
 
-    One row per ``(namespace, key)``; WAL journal mode so concurrent readers
-    never block the writer.  Unlike the quota store there is no CAS: cache
-    writes are idempotent (every writer computed the same canonical payload
-    for the same canonical key), so ``INSERT OR REPLACE`` is safe.
-
-    Args:
-        path: Sqlite database file (created on first use).
-        clock: Wall-clock seconds; shared rows need a clock every process
-            agrees on, so this defaults to ``time.time`` — injectable for
-            deterministic tests.
+    One row per ``(namespace, key)`` in a
+    :class:`~repro.cluster.sqlite.SqliteFile` (``path``, ``clock``).  Unlike
+    the quota store there is no CAS: cache writes are idempotent (every
+    writer computed the same canonical payload for the same canonical key),
+    so ``INSERT OR REPLACE`` is safe.
     """
 
-    def __init__(
-        self, path: str, clock: Callable[[], float] = time.time
-    ) -> None:
-        self.path = str(path)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._conn = sqlite3.connect(
-            self.path, timeout=5.0, check_same_thread=False, isolation_level=None
-        )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA busy_timeout=5000")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS cache_entries ("
-            " namespace TEXT NOT NULL,"
-            " key TEXT NOT NULL,"
-            " value BLOB NOT NULL,"
-            " expires_at REAL NOT NULL,"
-            " PRIMARY KEY (namespace, key))"
-        )
+    SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS cache_entries ("
+        " namespace TEXT NOT NULL,"
+        " key TEXT NOT NULL,"
+        " value BLOB NOT NULL,"
+        " expires_at REAL NOT NULL,"
+        " PRIMARY KEY (namespace, key))"
+    )
 
     def get(self, namespace: str, key: str) -> bytes | None:
         with self._lock:
@@ -176,10 +114,3 @@ class SqliteCacheStore(CacheStore):
                 "DELETE FROM cache_entries WHERE namespace = ?", (namespace,)
             )
             return cursor.rowcount
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    def describe(self) -> dict[str, object]:
-        return {"backend": type(self).__name__, "path": self.path}

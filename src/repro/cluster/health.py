@@ -1,11 +1,10 @@
-"""Per-replica health tracking with circuit-breaker semantics.
+"""Per-replica health tracking: the tenant circuit breaker under up/down names.
 
 The router learns about replica failure two ways: *passively*, when proxying
 a request dies on a connection error, and *actively*, from a periodic
-``GET /healthz`` probe loop.  Both feed a :class:`ReplicaHealth` per replica
-whose state machine deliberately mirrors
-:class:`~repro.resilience.circuit.CircuitBreaker` — the same vocabulary the
-rest of the system already speaks:
+``GET /healthz`` probe loop.  Both feed a :class:`ReplicaHealth` per replica,
+which is :class:`~repro.resilience.circuit.CircuitBreaker` with its states
+renamed:
 
 - **up** (closed) — requests route normally; consecutive failures are
   counted and any success resets the run.
@@ -17,30 +16,34 @@ rest of the system already speaks:
   (the router re-places corpora toward their ring-preferred homes), failure
   re-opens for another full cooldown.
 
-Unlike the tenant breaker, :meth:`allow` returns a bool instead of raising:
+The router asks :meth:`allow` (a bool) rather than ``check`` (which raises):
 a down replica is not an error, it is a routing decision — the caller walks
 the ring's preference order to the next healthy candidate.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 import time
 from typing import Any, Callable
+
+from ..resilience.circuit import CircuitBreaker
 
 __all__ = ["ReplicaHealth"]
 
 
-class ReplicaHealth:
+class ReplicaHealth(CircuitBreaker):
     """Thread-safe up → down → half-open tracker for one replica.
 
     Args:
-        replica: Replica base URL (or name) carried into descriptions.
+        replica: Replica base URL (or name) carried into descriptions; it is
+            held in the breaker's ``corpus`` attribute.
         failure_threshold: Consecutive failures that mark the replica down.
         reset_seconds: Cooldown before a half-open probe is allowed.
         clock: Monotonic time source (injectable for deterministic tests).
     """
+
+    CLOSED, OPEN = "up", "down"
+    OPEN_COUNT_KEY, OPENED_AGO_KEY = "down_count", "down_seconds_ago"
 
     def __init__(
         self,
@@ -49,103 +52,12 @@ class ReplicaHealth:
         reset_seconds: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if reset_seconds <= 0:
-            raise ValueError("reset_seconds must be positive")
-        self.replica = replica
-        self.failure_threshold = failure_threshold
-        self.reset_seconds = reset_seconds
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = "up"
-        self._consecutive_failures = 0
-        self._down_at: float | None = None
-        self._probe_in_flight = False
-        self._down_count = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
+        super().__init__(replica, failure_threshold, reset_seconds, clock)
 
     @property
     def is_up(self) -> bool:
-        with self._lock:
-            return self._state == "up"
-
-    def allow(self) -> bool:
-        """May a request (or probe) be sent to this replica right now?
-
-        Transitions down → half-open once the cooldown has elapsed and lets
-        exactly one caller through as the probe; everyone else is told to
-        pick another replica.
-        """
-        with self._lock:
-            if self._state == "up":
-                return True
-            if self._state == "down":
-                assert self._down_at is not None
-                if self._clock() - self._down_at < self.reset_seconds:
-                    return False
-                self._state = "half_open"
-                self._probe_in_flight = True
-                return True
-            # half-open: one probe at a time.
-            if self._probe_in_flight:
-                return False
-            self._probe_in_flight = True
-            return True
-
-    def record_success(self) -> bool:
-        """A request or probe succeeded; returns True when it revived the replica."""
-        with self._lock:
-            revived = self._state != "up"
-            self._state = "up"
-            self._consecutive_failures = 0
-            self._down_at = None
-            self._probe_in_flight = False
-            return revived
-
-    def record_failure(self) -> bool:
-        """Count one failure; returns True when this newly downed the replica."""
-        with self._lock:
-            self._consecutive_failures += 1
-            self._probe_in_flight = False
-            should_down = (
-                self._state == "half_open"
-                or self._consecutive_failures >= self.failure_threshold
-            )
-            if should_down and self._state != "down":
-                self._state = "down"
-                self._down_at = self._clock()
-                self._down_count += 1
-                return True
-            if should_down:
-                # Already down (late failures from in-flight proxies).
-                self._down_at = self._clock()
-            return False
-
-    def abort_probe(self) -> None:
-        """Release the half-open probe slot without counting an outcome."""
-        with self._lock:
-            self._probe_in_flight = False
+        return self.state == self.CLOSED
 
     def describe(self) -> dict[str, Any]:
         """JSON-ready state for the router's ``/healthz``."""
-        with self._lock:
-            info: dict[str, Any] = {
-                "replica": self.replica,
-                "state": self._state,
-                "consecutive_failures": self._consecutive_failures,
-                "failure_threshold": self.failure_threshold,
-                "reset_seconds": self.reset_seconds,
-                "down_count": self._down_count,
-            }
-            if self._down_at is not None:
-                elapsed = self._clock() - self._down_at
-                info["down_seconds_ago"] = round(elapsed, 3)
-                info["retry_after_seconds"] = max(
-                    0, math.ceil(self.reset_seconds - elapsed)
-                )
-            return info
+        return {"replica": self.corpus, **super().describe()}

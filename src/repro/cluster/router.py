@@ -25,12 +25,13 @@ paper's Fig. 7 web application horizontally without a coordination service:
   only then removes the replica from the ring — zero 5xx during the
   handover, ``replica_draining`` / ``replica_drained`` events and a
   ``router_drained_total`` counter around it.
-* **Coalescing**: identical in-flight cacheable queries to one corpus merge
-  at the router into a single upstream request (leader/waiter futures keyed
-  on the same canonical query key the replicas' executors use), so N
-  replicas never see N copies of a stampede; waiters are counted by a
-  per-corpus ``router_coalesced_total``.  Requests carrying
-  ``use_cache: false``, ``debug`` or any non-canonical field bypass it.
+* **Coalescing**: identical in-flight cacheable queries to one corpus and
+  route merge at the router into a single upstream request (the executor's
+  :class:`~repro.serving.coalesce.Coalescer`, keyed on the route plus the
+  canonical query key the replicas' executors use), so N replicas never see
+  N copies of a stampede; waiters are counted by a per-corpus
+  ``router_coalesced_total``.  Requests carrying ``use_cache: false``,
+  ``debug`` or any non-canonical field bypass it.
 * **Errors** stay inside the shared taxonomy: a proxy that cannot reach any
   healthy replica answers :class:`~repro.errors.ReplicaUnavailableError`
   (503 + ``Retry-After``), never a bare connection reset, and replica error
@@ -55,7 +56,6 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from concurrent.futures import Future
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -71,6 +71,7 @@ from ..errors import (
 from ..obs.events import EventLog
 from ..obs.trace import new_id
 from ..serving.cache import make_query_key
+from ..serving.coalesce import Coalescer
 from ..serving.metrics import MetricsRegistry
 from .health import ReplicaHealth
 from .ring import ConsistentHashRing
@@ -185,9 +186,7 @@ class RouterApp:
         self.metrics.increment("router_drained_total", 0)
         #: Replicas removed by an orderly drain (kept for the health rollup).
         self.drained: list[str] = []
-        #: In-flight coalescable solves: canonical query key -> leader future.
-        self._inflight: dict[Hashable, Future] = {}
-        self._coalesce_lock = threading.Lock()
+        self._coalescer = Coalescer()
         #: Live ``corpus -> replica`` map; mutations happen under the lock.
         self.placement: dict[str, str] = {}
         self._lock = threading.RLock()
@@ -529,52 +528,43 @@ class RouterApp:
     #: Body fields a router-coalescable query may carry.  Anything else
     #: (``debug`` traces, ``variant`` overrides, unknown fields destined for
     #: the replica's own validation) opts the request out of merging.
-    _COALESCE_FIELDS = frozenset({"query", "year_cutoff", "exclude_ids", "use_cache"})
+    _COALESCE_FIELDS = ("query", "year_cutoff", "exclude_ids", "use_cache")
 
     def _coalesce_key(
         self, corpus: str, method: str, path: str, body: bytes | None
     ) -> Hashable | None:
         """The canonical merge key for a query request, or ``None``.
 
-        Keys on :func:`~repro.serving.cache.make_query_key` — the same
-        canonicalisation the replicas' executors coalesce on — minus the
-        pipeline fingerprint (one corpus has one configuration fleet-wide)
-        and namespaced by corpus.  ``use_cache: false`` is an explicit
-        freshness demand and never merges; a body this parser cannot prove
-        canonical simply runs alone, its validation errors produced by the
-        replica as usual.
+        Validates the body with the replicas' own
+        :func:`~repro.serving.executor.validate_query_body` and keys on
+        :func:`~repro.serving.cache.make_query_key` — the canonicalisation
+        the replicas' executors coalesce on — minus the pipeline fingerprint
+        (one corpus has one configuration fleet-wide), namespaced by corpus
+        and prefixed by the route: the legacy ``/query`` alias and
+        ``/v1/corpora/<name>/query`` answer in different shapes, so they
+        never share a response.  ``use_cache: false`` is an explicit
+        freshness demand and never merges; a body the replica would reject
+        runs alone and gets the replica's own 400.
         """
-        if method != "POST" or not body:
-            return None
-        resource = path.partition("?")[0].rstrip("/")
-        if resource.rsplit("/", 1)[-1] != "query":
-            return None
-        try:
-            doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return None
-        if not isinstance(doc, dict) or not isinstance(doc.get("query"), str):
-            return None
-        if set(doc) - self._COALESCE_FIELDS:
-            return None
-        if doc.get("use_cache") is False:
-            return None
-        year_cutoff = doc.get("year_cutoff")
-        if year_cutoff is not None and not isinstance(year_cutoff, int):
-            return None
-        exclude = doc.get("exclude_ids")
-        if exclude is None:
-            exclude = []
-        if not isinstance(exclude, list) or not all(
-            isinstance(item, str) for item in exclude
-        ):
+        # Runtime import: serving.executor imports cluster.state, whose
+        # package import loads this module.
+        from ..serving.executor import validate_query_body
+
+        route = path.partition("?")[0].rstrip("/")
+        if method != "POST" or not body or not route.endswith("/query"):
             return None
         try:
-            return make_query_key(
-                doc["query"], year_cutoff, tuple(exclude), "", namespace=corpus
-            )
-        except Exception:  # noqa: BLE001 - unparseable queries just run alone
+            doc = json.loads(body)
+            if not isinstance(doc, dict):
+                return None
+            doc = validate_query_body(doc, self._COALESCE_FIELDS)
+        except ValueError:  # malformed JSON and RequestValidationError alike
             return None
+        if not doc["use_cache"]:
+            return None
+        return route, make_query_key(
+            doc["query"], doc["year_cutoff"], doc["exclude_ids"], "", namespace=corpus
+        )
 
     def proxy(
         self,
@@ -587,7 +577,7 @@ class RouterApp:
     ) -> tuple[int, bytes, dict[str, str]]:
         """Forward one request to ``corpus``'s replica, merging duplicates.
 
-        Identical in-flight cacheable queries (same canonical key, same
+        Identical in-flight cacheable queries (same route, canonical key and
         corpus) collapse onto one upstream request: the first caller leads,
         the rest wait on its future and share the outcome byte-for-byte —
         taxonomy errors included — each counted by the corpus's
@@ -598,17 +588,13 @@ class RouterApp:
             return self._proxy_upstream(
                 corpus, method, path, body=body, headers=headers
             )
-        with self._coalesce_lock:
-            leader = self._inflight.get(key)
-            if leader is None:
-                future: Future = Future()
-                self._inflight[key] = future
-        if leader is not None:
+        future, leads = self._coalescer.join(key)
+        if not leads:
             self.metrics.increment("router_requests_total")
             corpus_metrics = self._corpus_metrics.get(corpus)
             if corpus_metrics is not None:
                 corpus_metrics.increment("router_coalesced_total")
-            return leader.result()
+            return future.result()
         try:
             outcome = self._proxy_upstream(
                 corpus, method, path, body=body, headers=headers
@@ -616,13 +602,8 @@ class RouterApp:
         except BaseException as exc:
             future.set_exception(exc)
             raise
-        else:
-            future.set_result(outcome)
-            return outcome
-        finally:
-            with self._coalesce_lock:
-                if self._inflight.get(key) is future:
-                    del self._inflight[key]
+        future.set_result(outcome)
+        return outcome
 
     def _proxy_upstream(
         self,

@@ -27,10 +27,11 @@ just unnecessary.
 
 from __future__ import annotations
 
-import sqlite3
 import threading
 import time
 from typing import Callable
+
+from .sqlite import SqliteFile
 
 __all__ = ["InMemoryQuotaStore", "QuotaStore", "SqliteQuotaStore"]
 
@@ -111,42 +112,24 @@ class InMemoryQuotaStore(QuotaStore):
             self._buckets.pop(tenant, None)
 
 
-class SqliteQuotaStore(QuotaStore):
+class SqliteQuotaStore(SqliteFile, QuotaStore):
     """File-backed buckets shared across replicas and across restarts.
 
-    One row per tenant; WAL journal mode so concurrent readers never block
-    the writer; every mutation is a compare-and-swap on a ``version`` column
-    so two replicas racing on one tenant serialise without ever holding a
-    long transaction.
-
-    Args:
-        path: Sqlite database file (created on first use).
-        clock: Wall-clock seconds; shared rows need a clock every process
-            agrees on, so this defaults to ``time.time`` — injectable for
-            deterministic tests.
+    One row per tenant in a :class:`~repro.cluster.sqlite.SqliteFile`
+    (``path``, ``clock``); every mutation is a compare-and-swap on a
+    ``version`` column so two replicas racing on one tenant serialise
+    without ever holding a long transaction.
     """
 
     _CAS_ATTEMPTS = 1000  # far above any plausible contention
 
-    def __init__(
-        self, path: str, clock: Callable[[], float] = time.time
-    ) -> None:
-        self.path = str(path)
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._conn = sqlite3.connect(
-            self.path, timeout=5.0, check_same_thread=False, isolation_level=None
-        )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute("PRAGMA busy_timeout=5000")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS quota_buckets ("
-            " tenant TEXT PRIMARY KEY,"
-            " tokens REAL NOT NULL,"
-            " stamp REAL NOT NULL,"
-            " version INTEGER NOT NULL DEFAULT 0)"
-        )
+    SCHEMA = (
+        "CREATE TABLE IF NOT EXISTS quota_buckets ("
+        " tenant TEXT PRIMARY KEY,"
+        " tokens REAL NOT NULL,"
+        " stamp REAL NOT NULL,"
+        " version INTEGER NOT NULL DEFAULT 0)"
+    )
 
     def configure(self, tenant: str, burst: int) -> None:
         with self._lock:
@@ -220,10 +203,3 @@ class SqliteQuotaStore(QuotaStore):
             self._conn.execute(
                 "DELETE FROM quota_buckets WHERE tenant = ?", (tenant,)
             )
-
-    def close(self) -> None:
-        with self._lock:
-            self._conn.close()
-
-    def describe(self) -> dict[str, object]:
-        return {"backend": type(self).__name__, "path": self.path}

@@ -65,13 +65,8 @@ from ..obs.events import EventLog
 from ..obs.trace import Trace, Tracer
 from ..resilience.circuit import CircuitBreaker
 from ..resilience.faults import FaultPlan, active_plan, arm, disarm
-from ..serving.cache import ResultCache
-from ..serving.executor import (
-    BatchExecutor,
-    QueryRequest,
-    coalesce_key_for_service,
-    validate_query_body,
-)
+from ..serving.cache import ResultCache, make_query_key
+from ..serving.executor import BatchExecutor, QueryRequest, validate_query_body
 from ..serving.metrics import MetricsRegistry
 from .service import PathPayload, RePaGerService
 
@@ -706,8 +701,6 @@ class RePaGerApp:
         cache: The shared result cache handed to tenants attached via
             :meth:`attach_store` / :meth:`attach_directory`; entries are
             namespaced per tenant.
-        executor: Pre-built executor (one is created from ``config`` when
-            omitted).
     """
 
     def __init__(
@@ -716,7 +709,6 @@ class RePaGerApp:
         registry: CorpusRegistry | None = None,
         metrics: MetricsRegistry | None = None,
         cache: ResultCache | None = None,
-        executor: BatchExecutor | None = None,
         pipeline_config: PipelineConfig | None = None,
     ) -> None:
         self.config = config or ServingConfig()
@@ -751,10 +743,9 @@ class RePaGerApp:
             # Best-effort reload of the previous process's slow-trace buffer;
             # a missing or torn file restores nothing and never fails startup.
             self.tracer.load_slow(obs.slow_trace_persist_path)
-        #: Durable token-bucket store (``quota_state_path``); owned by the app
-        #: only when the app also builds the executor that uses it.
+        #: Durable token-bucket store (``quota_state_path``).
         self._quota_store: SqliteQuotaStore | None = None
-        if executor is None and self.config.quota_state_path is not None:
+        if self.config.quota_state_path is not None:
             self._quota_store = SqliteQuotaStore(self.config.quota_state_path)
         #: Durable shared result cache (``cache_state_path``); handed to every
         #: tenant service as its L2, so payloads solved before a failover are
@@ -762,7 +753,7 @@ class RePaGerApp:
         self._cache_store: SqliteCacheStore | None = None
         if self.config.cache_state_path is not None:
             self._cache_store = SqliteCacheStore(self.config.cache_state_path)
-        self.executor = executor or BatchExecutor.from_app(
+        self.executor = BatchExecutor.from_app(
             self,
             max_workers=self.config.max_workers,
             queue_depth=self.config.queue_depth,
@@ -841,7 +832,15 @@ class RePaGerApp:
             corpus_dir=corpus_dir,
             snapshot_path=snapshot_path,
         )
-        self._configure_executor_tenant(name, service, overrides)
+        self.executor.configure_tenant(
+            name,
+            quota=overrides.quota if overrides is not None else None,
+            timeout_seconds=(
+                overrides.query_timeout_seconds if overrides is not None else None
+            ),
+            metrics=service.metrics,
+            weight=overrides.weight if overrides is not None else 1,
+        )
         if lifecycle_event is not None:
             # Stub services in tests may not carry a corpus store.
             store = getattr(service, "store", None)
@@ -853,26 +852,6 @@ class RePaGerApp:
                 papers=len(store) if store is not None else None,
             )
         return tenant
-
-    def _configure_executor_tenant(
-        self,
-        name: str,
-        service: RePaGerService,
-        overrides: TenantOverrides | None,
-    ) -> None:
-        """Install the tenant's quota/timeout/metrics into the shared executor."""
-        configure = getattr(self.executor, "configure_tenant", None)
-        if configure is None:
-            return
-        configure(
-            name,
-            quota=overrides.quota if overrides is not None else None,
-            timeout_seconds=(
-                overrides.query_timeout_seconds if overrides is not None else None
-            ),
-            metrics=service.metrics,
-            weight=overrides.weight if overrides is not None else 1,
-        )
 
     def attach_store(
         self,
@@ -960,7 +939,7 @@ class RePaGerApp:
                 raise
             # Evicted tenants already dropped their cache namespace; the
             # executor accounting goes with the final detach.
-            self._drop_executor_tenant(name)
+            self.executor.drop_tenant(name)
             if self._cache_store is not None:
                 self._cache_store.drop_namespace(name)
             self.events.emit("corpus_detach", corpus=name, resident=False)
@@ -973,16 +952,11 @@ class RePaGerApp:
         # keeps them so a re-attach serves warm).
         if self._cache_store is not None:
             self._cache_store.drop_namespace(name)
-        self._drop_executor_tenant(name)
+        self.executor.drop_tenant(name)
         with self._breaker_lock:
             self._breakers.pop(name, None)
         self.events.emit("corpus_detach", corpus=name, resident=True)
         return tenant
-
-    def _drop_executor_tenant(self, name: str) -> None:
-        drop = getattr(self.executor, "drop_tenant", None)
-        if drop is not None:
-            drop(name)
 
     # -- eviction and re-attach --------------------------------------------------
 
@@ -1242,30 +1216,6 @@ class RePaGerApp:
                     trace.tags["degraded"] = True
             else:
                 self._record_outcome(tenant, breaker, None)
-            if not isinstance(response, QueryResponse):
-                # A caller-supplied executor with the pre-registry handler
-                # contract (BatchExecutor.from_service) returns the bare
-                # payload of the one service it wraps; it cannot honour
-                # per-request variant overrides or corpus routing, so reject
-                # rather than mislabel that service's output as another
-                # tenant/ablation.
-                if options.variant is not None:
-                    raise ServingError(
-                        "the configured executor does not support per-request "
-                        "pipeline variants"
-                    )
-                if tenant.name != self.registry.default_name:
-                    raise ServingError(
-                        "the configured executor serves only the default tenant; "
-                        f"it cannot route to corpus {tenant.name!r}"
-                    )
-                response = QueryResponse(
-                    payload=response,
-                    corpus=tenant.name,
-                    variant=DEFAULT_VARIANT,
-                    cached=False,
-                    config_fingerprint=tenant.service.pipeline.config_fingerprint,
-                )
             if trace is not None:
                 trace.tags["variant"] = response.variant
                 trace.tags["cached"] = response.cached
@@ -1318,7 +1268,7 @@ class RePaGerApp:
 
     def _run_with_retry(
         self, tenant: Tenant, request: QueryRequest, deadline: float | None
-    ) -> Any:
+    ) -> QueryResponse:
         """Run one request, retrying *retryable* taxonomy errors.
 
         ``retry_attempts`` counts *retries*, so total attempts are
@@ -1521,9 +1471,14 @@ class RePaGerApp:
         coalesce" — the worker then re-attaches or errors through the normal
         taxonomy path.
         """
-        tenant = self.registry.resolve(request.corpus)
-        service = tenant.service_for(request.variant)
-        return coalesce_key_for_service(service, request)
+        service = self.registry.resolve(request.corpus).service_for(request.variant)
+        return make_query_key(
+            request.text,
+            request.year_cutoff,
+            request.exclude_ids,
+            service.pipeline.config_fingerprint,
+            namespace=service.cache_namespace or (request.corpus or ""),
+        )
 
     def paper_details(self, paper_id: str, corpus: str | None = None) -> dict[str, Any]:
         """Detail record for one paper of one tenant."""
@@ -1615,10 +1570,10 @@ class RePaGerApp:
                 return report
             report = tenant.health()
             report["default"] = corpus == self.registry.default_name
-            usage = getattr(self.executor, "tenant_usage", lambda _name: None)(corpus)
+            usage = self.executor.tenant_usage(corpus)
             if usage is not None:
                 report["quota_usage"] = usage
-            sched = getattr(self.executor, "scheduler_info", lambda _name: None)(corpus)
+            sched = self.executor.scheduler_info(corpus)
             if sched is not None:
                 report["scheduler"] = sched
             breaker = self._breaker(corpus)

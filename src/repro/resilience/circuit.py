@@ -22,6 +22,11 @@ fast rejections with an honest ``Retry-After``:
 
 Only *server-side* solve failures count — client errors (bad request, unknown
 paper) say nothing about the tenant's health and never trip the breaker.
+
+The router's per-replica health (:class:`~repro.cluster.health.ReplicaHealth`)
+is this state machine with the states renamed ``up``/``down``; it asks
+:meth:`CircuitBreaker.allow` (a bool) where a tenant asks
+:meth:`CircuitBreaker.check` (which raises).
 """
 
 from __future__ import annotations
@@ -46,6 +51,10 @@ class CircuitBreaker:
         clock: Monotonic time source (injectable for deterministic tests).
     """
 
+    #: State names and :meth:`describe` keys; a subclass may rename them.
+    CLOSED, OPEN = "closed", "open"
+    OPEN_COUNT_KEY, OPENED_AGO_KEY = "open_count", "opened_seconds_ago"
+
     def __init__(
         self,
         corpus: str,
@@ -62,7 +71,7 @@ class CircuitBreaker:
         self.reset_seconds = reset_seconds
         self._clock = clock
         self._lock = threading.Lock()
-        self._state = "closed"
+        self._state = self.CLOSED
         self._consecutive_failures = 0
         self._opened_at: float | None = None
         self._probe_in_flight = False
@@ -73,31 +82,36 @@ class CircuitBreaker:
         with self._lock:
             return self._state
 
-    def check(self) -> None:
-        """Admission gate; raises :class:`CircuitOpenError` when rejecting.
+    def _admit(self) -> int | None:
+        """The admission step: ``None`` admits, otherwise the rejection's
+        ``Retry-After`` seconds.
 
         Transitions open → half-open once the cooldown has elapsed and lets
-        exactly one probe through; everyone else sees the rejection.
+        exactly one probe through; everyone else is rejected.
         """
         with self._lock:
-            if self._state == "closed":
-                return
-            now = self._clock()
-            if self._state == "open":
+            if self._state == self.CLOSED:
+                return None
+            if self._state == self.OPEN:
                 assert self._opened_at is not None
-                elapsed = now - self._opened_at
-                if elapsed < self.reset_seconds:
-                    remaining = self.reset_seconds - elapsed
-                    raise CircuitOpenError(
-                        self.corpus, retry_after_seconds=max(1, math.ceil(remaining))
-                    )
+                remaining = self.reset_seconds - (self._clock() - self._opened_at)
+                if remaining > 0:
+                    return max(1, math.ceil(remaining))
                 self._state = "half_open"
-                self._probe_in_flight = True
-                return
-            # half-open: one probe at a time.
-            if self._probe_in_flight:
-                raise CircuitOpenError(self.corpus, retry_after_seconds=1)
+            elif self._probe_in_flight:  # half-open: one probe at a time
+                return 1
             self._probe_in_flight = True
+            return None
+
+    def check(self) -> None:
+        """Admission gate; raises :class:`CircuitOpenError` when rejecting."""
+        retry_after = self._admit()
+        if retry_after is not None:
+            raise CircuitOpenError(self.corpus, retry_after_seconds=retry_after)
+
+    def allow(self) -> bool:
+        """Admission gate as a bool: may a request (or probe) go through?"""
+        return self._admit() is None
 
     def record_success(self) -> bool:
         """A solve completed; close the circuit and reset the failure run.
@@ -106,8 +120,8 @@ class CircuitBreaker:
         (a successful half-open probe), so the caller can log the recovery.
         """
         with self._lock:
-            closed_now = self._state != "closed"
-            self._state = "closed"
+            closed_now = self._state != self.CLOSED
+            self._state = self.CLOSED
             self._consecutive_failures = 0
             self._opened_at = None
             self._probe_in_flight = False
@@ -127,8 +141,8 @@ class CircuitBreaker:
                 self._state == "half_open"
                 or self._consecutive_failures >= self.failure_threshold
             )
-            if should_open and self._state != "open":
-                self._state = "open"
+            if should_open and self._state != self.OPEN:
+                self._state = self.OPEN
                 self._opened_at = self._clock()
                 self._open_count += 1
                 return True
@@ -157,11 +171,11 @@ class CircuitBreaker:
                 "consecutive_failures": self._consecutive_failures,
                 "failure_threshold": self.failure_threshold,
                 "reset_seconds": self.reset_seconds,
-                "open_count": self._open_count,
+                self.OPEN_COUNT_KEY: self._open_count,
             }
             if self._opened_at is not None:
                 elapsed = self._clock() - self._opened_at
-                info["opened_seconds_ago"] = round(elapsed, 3)
+                info[self.OPENED_AGO_KEY] = round(elapsed, 3)
                 info["retry_after_seconds"] = max(
                     0, math.ceil(self.reset_seconds - elapsed)
                 )

@@ -11,6 +11,8 @@ library:
   artifacts plus a serialisable :class:`ArtifactSnapshot`;
 * :mod:`repro.serving.executor` — thread-pool batch executor with a bounded
   queue, per-query timeouts and graceful overload rejection;
+* :mod:`repro.serving.coalesce` — the in-flight coalescer the executor and
+  the cluster router share;
 * :mod:`repro.serving.http_api` — ``http.server``-based JSON API
   (``POST /query``, ``GET /paper/<id>``, ``GET /healthz``, ``GET /metrics``);
 * :mod:`repro.serving.metrics` — latency histograms (p50/p95/p99), counters

@@ -66,7 +66,7 @@ from ..errors import (
 from ..obs.trace import handoff, stage
 from ..resilience.deadline import deadline_scope, remaining_seconds
 from ..resilience.faults import fault_point
-from .cache import make_query_key
+from .coalesce import Coalescer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..config import TenantQuota
@@ -78,7 +78,6 @@ __all__ = [
     "BatchExecutor",
     "BatchOutcome",
     "QueryRequest",
-    "coalesce_key_for_service",
     "validate_query_body",
 ]
 
@@ -328,9 +327,7 @@ class BatchExecutor:
         self._credits: dict[str, float] = {}
         self._queued_total = 0
         self._sched = threading.Condition(threading.Lock())
-        # -- in-flight coalescing (guarded by _coalesce_lock) ----------------
-        self._inflight: dict[Hashable, Future] = {}
-        self._coalesce_lock = threading.Lock()
+        self._coalescer = Coalescer()
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -579,8 +576,15 @@ class BatchExecutor:
 
     # -- coalescing --------------------------------------------------------------
 
-    def _coalesce_key(self, request: QueryRequest) -> Hashable | None:
-        """The request's coalescing key, or ``None`` when it must run alone.
+    def _join(
+        self, request: QueryRequest, state: _TenantState | None
+    ) -> tuple[Future | None, bool]:
+        """The coalescing step shared by :meth:`submit` and :meth:`run_batch`.
+
+        Returns ``(future, True)`` when the caller must run the request:
+        ``future`` is the leader future to resolve, or ``None`` when the
+        request runs alone.  Returns ``(waiter, False)`` when an identical
+        request is in flight; ``waiter`` resolves with its outcome.
 
         ``use_cache=False`` is an explicit freshness demand (the caller wants
         its own pipeline run, and others must not piggyback on a run that may
@@ -590,11 +594,17 @@ class BatchExecutor:
         taxonomy error inside the worker, not here.
         """
         if self.key_for is None or not request.use_cache or request.debug:
-            return None
+            return None, True
         try:
-            return self.key_for(request)
+            key = self.key_for(request)
         except Exception:  # noqa: BLE001 - the handler re-raises properly
-            return None
+            return None, True
+        if key is None:
+            return None, True
+        future, leads = self._coalescer.join(key)
+        if leads:
+            return future, True
+        return self._attach_waiter(future, state), False
 
     def _attach_waiter(
         self, leader: Future, state: _TenantState | None
@@ -632,11 +642,6 @@ class BatchExecutor:
         leader.add_done_callback(propagate)
         return waiter
 
-    def _forget_inflight(self, key: Hashable, future: Future) -> None:
-        with self._coalesce_lock:
-            if self._inflight.get(key) is future:
-                del self._inflight[key]
-
     # -- admission ---------------------------------------------------------------
 
     def submit(self, request: QueryRequest) -> Future:
@@ -660,17 +665,9 @@ class BatchExecutor:
         self._shed_if_expired(request, "admission")
         with stage("quota_admission"):
             state = self._admit_tenant(request)
-        key = self._coalesce_key(request)
-        future: Future = Future()
-        if key is not None:
-            with self._coalesce_lock:
-                leader = self._inflight.get(key)
-                if leader is not None:
-                    return self._attach_waiter(leader, state)
-                self._inflight[key] = future
-            future.add_done_callback(
-                lambda done, key=key: self._forget_inflight(key, done)
-            )
+        future, runs = self._join(request, state)
+        if not runs:
+            return future
         if not self._slots.acquire(blocking=False):
             self._release_tenant(state, refund_token=True)
             self._count("executor_rejected_total")
@@ -678,10 +675,9 @@ class BatchExecutor:
                 f"serving queue full ({self.max_workers} workers, "
                 f"{self.queue_depth} waiting slots)"
             )
-            if key is not None:
-                # Resolve the registered leader future so any waiter that
-                # attached in the race window gets the same 429 (and the
-                # in-flight entry is removed by the done callback).
+            if future is not None:
+                # Resolve the leader future so any waiter that attached in
+                # the race window gets the same 429 (and the key is freed).
                 future.set_exception(error)
             raise error
         return self._submit_admitted(request, state, future)
@@ -713,9 +709,10 @@ class BatchExecutor:
         )
         try:
             self._enqueue(item)
-        except BaseException:
+        except BaseException as exc:
             self._slots.release()
             self._release_tenant(state, refund_token=True)
+            future.set_exception(exc)  # waiters on a leader future fail too
             raise
         future.add_done_callback(
             lambda _: (self._slots.release(), self._release_tenant(state))
@@ -1077,30 +1074,14 @@ class BatchExecutor:
                 outcome.elapsed_seconds = time.perf_counter() - started
                 admitted.append((request, None, started, outcome))
                 continue
-            key = self._coalesce_key(request)
-            future: Future | None = None
-            if key is not None:
-                with self._coalesce_lock:
-                    leader = self._inflight.get(key)
-                    if leader is not None:
-                        future = self._attach_waiter(leader, state)
-                    else:
-                        future = Future()
-                        self._inflight[key] = future
-                        future.add_done_callback(
-                            lambda done, key=key: self._forget_inflight(key, done)
-                        )
-                        leader = None
-                if leader is not None:
-                    admitted.append((request, future, started, outcome))
-                    continue
-            # Blocking global admission: the tenant charge is already held,
-            # but the request counts as tenant-`queued` only once it takes a
-            # post-admission slot inside _submit_admitted.
-            self._slots.acquire()
-            admitted.append(
-                (request, self._submit_admitted(request, state, future), started, outcome)
-            )
+            future, runs = self._join(request, state)
+            if runs:
+                # Blocking global admission: the tenant charge is already
+                # held, but the request counts as tenant-`queued` only once
+                # it takes a post-admission slot inside _submit_admitted.
+                self._slots.acquire()
+                future = self._submit_admitted(request, state, future)
+            admitted.append((request, future, started, outcome))
 
         outcomes: list[BatchOutcome] = []
         for request, future, started, outcome in admitted:
@@ -1150,19 +1131,3 @@ class BatchExecutor:
         if self.metrics is not None:
             self.metrics.increment(name)
 
-
-def coalesce_key_for_service(service: Any, request: QueryRequest) -> Hashable:
-    """The canonical cache key of ``request`` against ``service``.
-
-    Shared by :meth:`RePaGerApp.coalesce_key` and tests: coalescing and the
-    result cache must agree on what "identical query" means, so both key on
-    :func:`~repro.serving.cache.make_query_key` (normalised text,
-    order-insensitive exclusions, configuration fingerprint, namespace).
-    """
-    return make_query_key(
-        request.text,
-        request.year_cutoff,
-        request.exclude_ids,
-        service.pipeline.config_fingerprint,
-        namespace=getattr(service, "cache_namespace", "") or (request.corpus or ""),
-    )

@@ -183,7 +183,6 @@ def create_server(
     service: "RePaGerService | RePaGerApp",
     config: ServingConfig | None = None,
     metrics: MetricsRegistry | None = None,
-    executor: Any = None,
     quiet: bool = True,
 ) -> RePaGerHTTPServer:
     """Build (but do not start) the HTTP server.
@@ -193,16 +192,15 @@ def create_server(
     under ``config.default_corpus`` — the pre-``/v1`` embedding API keeps
     working unchanged.  When wrapping a service, its own metrics registry is
     reused so cache and pipeline timings land in the same registry the
-    ``/metrics`` endpoint renders.  A caller-supplied ``executor`` must obey
-    the app handler contract (``handler(request) -> QueryResponse``).
+    ``/metrics`` endpoint renders.
     """
     from ..repager.app import RePaGerApp  # runtime import: avoids module cycle
 
     config = config or ServingConfig()
     if isinstance(service, RePaGerApp):
-        if metrics is not None or executor is not None:
+        if metrics is not None:
             raise ValueError(
-                "metrics/executor cannot be overridden for a ready RePaGerApp; "
+                "metrics cannot be overridden for a ready RePaGerApp; "
                 "pass them to the RePaGerApp constructor instead"
             )
         app = service
@@ -211,7 +209,7 @@ def create_server(
             metrics = getattr(service, "metrics", None) or MetricsRegistry(
                 config.max_latency_samples
             )
-        app = RePaGerApp(config=config, metrics=metrics, executor=executor)
+        app = RePaGerApp(config=config, metrics=metrics)
         app.attach_service(config.default_corpus, service, default=True)
     return RePaGerHTTPServer((config.host, config.port), app, quiet=quiet)
 

@@ -292,6 +292,72 @@ class TestCoalescing:
             misses = replica_series["repager_cache_misses_total"]
             assert sum(misses.values()) == 1.0
 
+    def test_legacy_and_v1_routes_never_share_a_response(
+        self, alpha_dir, alpha_snapshot, monkeypatch
+    ):
+        """A legacy ``POST /query`` sent while an identical ``/v1`` query is
+        in flight gets its own legacy-shaped answer: the router keys on the
+        route, so only the replica's executor merges the two into one solve
+        and each HTTP handler renders its own shape."""
+        with ClusterFixture(
+            replicas=2, corpora={"alpha": (alpha_dir, alpha_snapshot)}
+        ) as cluster:
+            gate = threading.Event()
+            entered = threading.Event()
+            replica_url = cluster.router.placement["alpha"]
+            pipeline = cluster.replica_for("alpha").app.registry.get(
+                "alpha"
+            ).service.pipeline
+            generate = pipeline.generate
+
+            def held_generate(*args, **kwargs):
+                entered.set()
+                assert gate.wait(timeout=GATE_DEADLINE_SECONDS), "gate never opened"
+                return generate(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, "generate", held_generate)
+
+            body = {"query": "graph neural networks for citation ranking"}
+            responses: dict[str, tuple] = {}
+
+            def fire(route: str) -> None:
+                responses[route] = cluster.request("POST", route, body)
+
+            def coalesced_anywhere() -> float:
+                executor = _replica_metrics(replica_url).get(
+                    "repager_executor_coalesced_total", {}
+                )
+                return _coalesced(cluster) + executor.get((), 0.0)
+
+            v1 = threading.Thread(target=fire, args=("/v1/corpora/alpha/query",))
+            legacy = threading.Thread(target=fire, args=("/query",))
+            v1.start()
+            try:
+                assert entered.wait(timeout=GATE_DEADLINE_SECONDS)
+                legacy.start()
+                # Failure guard only: the loop exits once one merge is counted.
+                deadline = time.monotonic() + GATE_DEADLINE_SECONDS
+                while coalesced_anywhere() < 1.0 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            finally:
+                gate.set()
+            for thread in (v1, legacy):
+                thread.join(timeout=180)
+                assert not thread.is_alive()
+
+            status, v1_body, _ = responses["/v1/corpora/alpha/query"]
+            assert status == 200
+            assert set(v1_body) == {"payload", "serving"}
+            status, legacy_body, headers = responses["/query"]
+            assert status == 200
+            assert "nodes" in legacy_body
+            assert "payload" not in legacy_body
+            assert headers.get("Deprecation") == "true"
+            assert legacy_body["nodes"] == v1_body["payload"]["nodes"]
+
+            replica_series = _replica_metrics(replica_url)
+            assert sum(replica_series["repager_queries_total"].values()) == 1.0
+
     def test_use_cache_false_bypasses_coalescing(self, alpha_dir, alpha_snapshot):
         """Explicit cache opt-out is a debugging tool: it must reach the
         replica every time, never ride another request's future."""

@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cluster.cache import SqliteCacheStore
 from repro.cluster.state import InMemoryQuotaStore, SqliteQuotaStore
 from repro.config import TenantQuota
 from repro.errors import TenantQuotaExceededError, error_payload
@@ -157,6 +158,20 @@ class TestSqliteStore:
         finally:
             for store in stores:
                 store.close()
+
+
+@pytest.mark.parametrize("store_class", [SqliteQuotaStore, SqliteCacheStore])
+def test_sqlite_stores_open_in_wal_mode_with_a_busy_timeout(store_class, tmp_path):
+    """Replicas share these files: WAL lets readers run beside a writer, and
+    the busy timeout makes a writer wait out another replica's write."""
+    store = store_class(str(tmp_path / "store.sqlite"))
+    try:
+        execute = store._conn.execute
+        assert execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        assert execute("PRAGMA busy_timeout").fetchone() == (5000,)
+        assert execute("PRAGMA synchronous").fetchone() == (1,)  # NORMAL
+    finally:
+        store.close()
 
 
 class TestExecutorIntegration:
