@@ -5,12 +5,16 @@ pipeline unconditionally; when no trace is active they reduce to a single
 ``ContextVar`` read returning a shared no-op handle.  This benchmark holds
 that bargain to account:
 
-* **end-to-end** — interleaved rounds of uncached queries with tracing
-  globally enabled (but no active trace — the plain ``service.query`` path)
-  versus globally disabled via :func:`repro.obs.set_enabled`.  Each round
-  starts from a fresh ``gc.collect()``, so both modes pay the same garbage
-  collections.  The best-of-N round times must agree within 5% (plus a small
-  absolute epsilon for timer noise).
+* **end-to-end** — adjacent pairs of rounds of uncached queries, one round
+  with tracing globally enabled (but no active trace — the plain
+  ``service.query`` path) and one with it globally disabled via
+  :func:`repro.obs.set_enabled`, the order alternating from pair to pair.
+  Each round starts from a fresh ``gc.collect()``, so both modes pay the
+  same garbage collections.  The median of the per-pair enabled/disabled
+  ratios must stay within 5% (plus a small absolute epsilon for timer
+  noise).  A pair's two rounds run back to back, so slow drift in the
+  vCPU's speed moves both alike, where each mode's fastest round could come
+  from a different stretch of the run.
 * **micro** — the cost of one idle ``stage()`` enter/exit, multiplied by the
   span count of a real query, must itself be under 5% of the measured query
   time, which pins the overhead bound to the instrumentation rather than to
@@ -20,6 +24,7 @@ that bargain to account:
 from __future__ import annotations
 
 import gc
+import statistics
 import time
 
 import pytest
@@ -37,8 +42,11 @@ MAX_OVERHEAD = env_float("REPRO_BENCH_OBS_OVERHEAD", 0.05)
 #: Absolute epsilon (seconds) so near-zero round times do not amplify noise.
 OVERHEAD_EPSILON_SECONDS = 0.005
 
-#: Interleaved measurement rounds per mode.
-ROUNDS = env_int("REPRO_BENCH_OBS_ROUNDS", 5)
+#: Adjacent (enabled, disabled) round pairs; the gate reads their median ratio.
+#: On a shared 2-vCPU VM one pair's ratio scattered with a standard deviation
+#: of 9-18%, so ten pairs left the median a few percent from the bound; thirty
+#: keep it about three of its standard deviations away.
+PAIRS = env_int("REPRO_BENCH_OBS_PAIRS", 30)
 
 #: Idle stage() enter/exits in the micro measurement.
 MICRO_ITERATIONS = env_int("REPRO_BENCH_OBS_MICRO_ITERATIONS", 50_000)
@@ -77,28 +85,23 @@ def _round_seconds(service) -> float:
 
 
 def test_idle_tracing_overhead_is_under_five_percent(obs_service):
-    enabled_rounds: list[float] = []
-    disabled_rounds: list[float] = []
+    pairs: list[dict[bool, float]] = []
     assert tracing_enabled()
     try:
         obs_service.query(BENCH_QUERIES[0], use_cache=False)  # warm the artifacts
-        # Interleave the two modes, alternating which goes first each round,
-        # so drift (cache warmth, frequency scaling) lands on both sides
-        # equally.
-        for index in range(ROUNDS):
-            order = (False, True) if index % 2 == 0 else (True, False)
-            for enabled in order:
+        for index in range(PAIRS):
+            pair = {}
+            for enabled in (False, True) if index % 2 == 0 else (True, False):
                 set_enabled(enabled)
-                bucket = enabled_rounds if enabled else disabled_rounds
-                bucket.append(_round_seconds(obs_service))
+                pair[enabled] = _round_seconds(obs_service)
+            pairs.append(pair)
     finally:
         set_enabled(True)
 
-    # Best-of-N: scheduler/GC spikes only ever add time, so the minima are
-    # the cleanest estimate of each mode's true cost.
-    best_enabled = min(enabled_rounds)
-    best_disabled = min(disabled_rounds)
-    overhead = best_enabled / best_disabled - 1.0
+    ratio = statistics.median(pair[True] / pair[False] for pair in pairs)
+    overhead = ratio - 1.0
+    typical_disabled = statistics.median(pair[False] for pair in pairs)
+    best_enabled = min(pair[True] for pair in pairs)
 
     # Micro bound: one idle stage() is a ContextVar read + shared no-op.
     started = time.perf_counter()
@@ -113,9 +116,10 @@ def test_idle_tracing_overhead_is_under_five_percent(obs_service):
         "Observability: idle tracing overhead",
         ["measure", "value"],
         [
-            ["best round, tracing disabled (s)", best_disabled],
+            ["pairs", len(pairs)],
+            ["median round, tracing disabled (s)", typical_disabled],
             ["best round, tracing enabled (s)", best_enabled],
-            ["end-to-end overhead", overhead],
+            ["median paired overhead", overhead],
             ["idle stage() enter/exit (us)", per_span * 1e6],
             ["micro bound per query (s)", micro_per_query],
             ["micro bound / query time", micro_fraction],
@@ -124,11 +128,11 @@ def test_idle_tracing_overhead_is_under_five_percent(obs_service):
 
     # Acceptance criterion: instrumentation on the uninstrumented (untraced)
     # path costs < 5%.
-    assert best_enabled <= best_disabled * (1.0 + MAX_OVERHEAD) + (
+    assert ratio * typical_disabled <= typical_disabled * (1.0 + MAX_OVERHEAD) + (
         OVERHEAD_EPSILON_SECONDS
     ), (
-        f"idle tracing overhead {overhead:+.1%} exceeds {MAX_OVERHEAD:.0%} "
-        f"({best_enabled:.4f}s vs {best_disabled:.4f}s)"
+        f"idle tracing overhead {overhead:+.1%} (median of {len(pairs)} paired "
+        f"ratios) exceeds {MAX_OVERHEAD:.0%} on {typical_disabled:.4f}s rounds"
     )
     assert micro_fraction < MAX_OVERHEAD, (
         f"per-span micro cost implies {micro_fraction:.2%} of a query "

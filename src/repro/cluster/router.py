@@ -36,6 +36,11 @@ paper's Fig. 7 web application horizontally without a coordination service:
   healthy replica answers :class:`~repro.errors.ReplicaUnavailableError`
   (503 + ``Retry-After``), never a bare connection reset, and replica error
   bodies pass through byte-identical.
+* **Connections**: every call to a replica goes through that replica's
+  keep-alive :class:`~repro.serving.transport.UpstreamPool`.  A pooled
+  socket the replica closed while idle is retried once on a fresh
+  connection without counting against the replica's health; a replica's
+  pool is emptied when it goes down and closed when it is drained.
 
 The router serves its own ``/healthz`` (fleet rollup: replica states, the
 ring, live placements, drained members) and ``/v1/metrics``
@@ -49,15 +54,11 @@ PR-6 exposition format).  Everything is stdlib-only.
 from __future__ import annotations
 
 import json
-import math
 import tempfile
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Hashable, Iterable, Mapping
 
@@ -66,13 +67,13 @@ from ..errors import (
     ReplicaNotFoundError,
     ReplicaUnavailableError,
     RequestValidationError,
-    error_payload,
 )
 from ..obs.events import EventLog
 from ..obs.trace import new_id
 from ..serving.cache import make_query_key
 from ..serving.coalesce import Coalescer
 from ..serving.metrics import MetricsRegistry
+from ..serving.transport import JSONHandler, JSONServer, UpstreamPool
 from .health import ReplicaHealth
 from .ring import ConsistentHashRing
 
@@ -88,6 +89,7 @@ __all__ = [
 _FORWARD_HEADERS = ("Content-Type", "X-Request-Deadline", "X-Tenant")
 #: Response headers passed back verbatim from the replica.
 _RETURN_HEADERS = ("Content-Type", "Retry-After", "Warning", "Deprecation", "Link")
+_JSON_HEADERS = {"Content-Type": "application/json"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -166,6 +168,9 @@ class RouterApp:
             )
             for url in urls
         }
+        #: Keep-alive connections to each replica, shared by proxying,
+        #: probes and placement calls.
+        self._pools: dict[str, UpstreamPool] = {url: UpstreamPool(url) for url in urls}
         self.probe_interval = probe_interval
         self.proxy_timeout = proxy_timeout
         self.events = events if events is not None else EventLog()
@@ -265,7 +270,7 @@ class RouterApp:
             # leaves a cold spare.
             try:
                 self._request("DELETE", previous, f"/v1/corpora/{corpus}")
-            except (OSError, urllib.error.URLError):
+            except OSError:
                 pass
         return target
 
@@ -284,49 +289,32 @@ class RouterApp:
             # The replica hosting the router's default corpus also answers
             # the legacy single-corpus routes, which need a default tenant.
             attach["default"] = True
-        body = json.dumps(attach).encode("utf-8")
+        code = self._post_attach(url, spec.name, attach)
+        if code in ("snapshot_mismatch", "snapshot_corrupt") and "snapshot" in attach:
+            cold = dict(attach)
+            cold.pop("snapshot")
+            code = self._post_attach(url, spec.name, cold)
+        if code not in ("", "corpus_exists"):
+            raise ReplicaUnavailableError(spec.name, replica=url)
+
+    def _post_attach(self, url: str, name: str, attach: dict[str, Any]) -> str | None:
+        """One attach call: ``""`` on success, else the error body's ``code``."""
         try:
-            self._request(
+            status, payload, _ = self._request(
                 "POST",
                 url,
                 "/v1/corpora",
-                body=body,
-                headers={"Content-Type": "application/json"},
+                body=json.dumps(attach).encode("utf-8"),
+                headers=_JSON_HEADERS,
             )
-        except urllib.error.HTTPError as exc:
-            code = self._error_code(exc)
-            if code == "corpus_exists":
-                return  # replica already has it warm
-            if code in ("snapshot_mismatch", "snapshot_corrupt") and "snapshot" in attach:
-                cold = dict(attach)
-                cold.pop("snapshot")
-                try:
-                    self._request(
-                        "POST",
-                        url,
-                        "/v1/corpora",
-                        body=json.dumps(cold).encode("utf-8"),
-                        headers={"Content-Type": "application/json"},
-                    )
-                    return
-                except urllib.error.HTTPError as cold_exc:
-                    if self._error_code(cold_exc) == "corpus_exists":
-                        return
-                    raise ReplicaUnavailableError(spec.name, replica=url) from cold_exc
-                except (OSError, urllib.error.URLError) as cold_exc:
-                    self._note_failure(url)
-                    raise ReplicaUnavailableError(spec.name, replica=url) from cold_exc
-            raise ReplicaUnavailableError(spec.name, replica=url) from exc
-        except (OSError, urllib.error.URLError) as exc:
+        except OSError as exc:
             self._note_failure(url)
-            raise ReplicaUnavailableError(spec.name, replica=url) from exc
-
-    @staticmethod
-    def _error_code(exc: urllib.error.HTTPError) -> str | None:
-        """The taxonomy ``code`` of a replica's error body, if parseable."""
+            raise ReplicaUnavailableError(name, replica=url) from exc
+        if 200 <= status < 300:
+            return ""
         try:
-            return json.loads(exc.read().decode("utf-8")).get("code")
-        except Exception:
+            return json.loads(payload).get("code")
+        except (ValueError, AttributeError):  # not a taxonomy body
             return None
 
     def _request(
@@ -339,17 +327,14 @@ class RouterApp:
         headers: Mapping[str, str] | None = None,
         timeout: float | None = None,
     ) -> tuple[int, bytes, dict[str, str]]:
-        request = urllib.request.Request(
-            url + path, data=body, method=method, headers=dict(headers or {})
+        """One exchange with a replica: ``(status, body, headers)`` for every status.
+
+        Raises:
+            OSError: The replica could not be reached or the exchange broke.
+        """
+        return self._pools[url].request(
+            method, path, body=body, headers=headers, timeout=timeout or self.proxy_timeout
         )
-        with urllib.request.urlopen(
-            request, timeout=timeout or self.proxy_timeout
-        ) as response:
-            return (
-                response.status,
-                response.read(),
-                {k: v for k, v in response.headers.items()},
-            )
 
     # -- health ------------------------------------------------------------------
 
@@ -367,6 +352,8 @@ class RouterApp:
         if self._probe_thread is not None:
             self._probe_thread.join(timeout=self.probe_interval + 1.0)
             self._probe_thread = None
+        for pool in self._pools.values():
+            pool.close()
 
     def _probe_loop(self) -> None:
         while not self._stop.wait(self.probe_interval):
@@ -382,12 +369,11 @@ class RouterApp:
         if not health.allow():
             return  # down and still cooling off
         try:
-            status, _, _ = self._request(
+            status = self._request(
                 "GET", url, "/healthz", timeout=min(self.proxy_timeout, 2.0)
-            )
-        except Exception:
-            self._note_failure(url)
-            return
+            )[0]
+        except Exception:  # noqa: BLE001 - any failed probe counts against the replica
+            status = None
         if status == 200:
             self._note_success(url)
         else:
@@ -404,6 +390,7 @@ class RouterApp:
         health = self.health.get(url)
         if health is not None and health.record_failure():
             self._replica_metrics[url].gauge_set("router_replica_up", 0.0)
+            self._pools[url].clear()
             with self._lock:
                 stranded = sorted(
                     name for name, holder in self.placement.items() if holder == url
@@ -479,6 +466,7 @@ class RouterApp:
             for name in held:
                 moved[name] = self._replace_corpus(name, reason="drain")
             del self.health[url]
+            self._pools[url].close()
             self._replica_metrics[url].gauge_set("router_replica_up", 0.0)
             self.drained.append(url)
             self.metrics.increment("router_drained_total")
@@ -508,16 +496,16 @@ class RouterApp:
             )
         body = json.dumps({"path": path}).encode("utf-8")
         try:
-            self._request(
+            status = self._request(
                 "POST",
                 url,
                 f"/v1/corpora/{spec.name}/snapshot",
                 body=body,
-                headers={"Content-Type": "application/json"},
-            )
-        except (OSError, urllib.error.URLError):
+                headers=_JSON_HEADERS,
+            )[0]
+        except OSError:
             return spec
-        if spec.snapshot == path:
+        if status != 200 or spec.snapshot == path:
             return spec
         return CorpusSpec(
             name=spec.name, corpus_dir=spec.corpus_dir, snapshot=path
@@ -618,9 +606,10 @@ class RouterApp:
 
         Replica HTTP errors (4xx/5xx taxonomy bodies) come back unchanged —
         status, body and ``Retry-After`` are the replica's own, preserving
-        byte-identity with a direct single-replica serve.  Connection-level
-        failures count against the replica's health (possibly triggering
-        evacuation) and surface as :class:`ReplicaUnavailableError`.
+        byte-identity with a direct single-replica serve; any answer counts
+        as the replica being alive.  Connection-level failures count against
+        the replica's health (possibly triggering evacuation) and surface as
+        :class:`ReplicaUnavailableError`.
         """
         url = self.route(corpus)
         self.metrics.increment("router_requests_total")
@@ -629,15 +618,7 @@ class RouterApp:
             status, payload, response_headers = self._request(
                 method, url, path, body=body, headers=headers
             )
-        except urllib.error.HTTPError as exc:
-            # A well-formed error response IS the answer; pass it through.
-            payload = exc.read()
-            self._replica_metrics[url].observe(
-                "router_replica_latency_seconds", time.monotonic() - started
-            )
-            self._note_success_quiet(url)  # the replica is alive and talking
-            return exc.code, payload, {k: v for k, v in exc.headers.items()}
-        except (OSError, urllib.error.URLError) as exc:
+        except OSError as exc:
             self._note_failure(url)
             raise ReplicaUnavailableError(corpus, replica=url) from exc
         self._replica_metrics[url].observe(
@@ -710,11 +691,8 @@ class RouterApp:
         return "\n".join(lines) + "\n"
 
 
-class RouterHTTPServer(ThreadingHTTPServer):
+class RouterHTTPServer(JSONServer):
     """Threading HTTP front door over one :class:`RouterApp`."""
-
-    daemon_threads = True
-    request_queue_size = 128
 
     def __init__(
         self,
@@ -722,14 +700,8 @@ class RouterHTTPServer(ThreadingHTTPServer):
         router: RouterApp,
         quiet: bool = True,
     ) -> None:
-        super().__init__(address, _RouterHandler)
+        super().__init__(address, _RouterHandler, quiet=quiet)
         self.router = router
-        self.quiet = quiet
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
 
 def create_router_server(
@@ -756,31 +728,11 @@ def start_router_in_background(server: RouterHTTPServer) -> threading.Thread:
 _MAX_BODY_BYTES = 1 << 20
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JSONHandler):
     """Route dispatch: router-local surfaces + pass-through proxying."""
 
     server: RouterHTTPServer  # narrowed type
     server_version = "RePaGerRouter/1.0"
-    protocol_version = "HTTP/1.1"
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("DELETE")
-
-    def _dispatch(self, method: str) -> None:
-        path = self.path.partition("?")[0]
-        incoming = (self.headers.get("X-Request-Id") or "").strip()
-        self.request_id = incoming[:128] or new_id()
-        segments = [part for part in path.split("/") if part]
-        try:
-            self._route(method, segments)
-        except Exception as exc:  # noqa: BLE001 - client must always get a response
-            self._send_error(exc)
 
     def _route(self, method: str, segments: list[str]) -> None:
         router = self.server.router
@@ -821,41 +773,17 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 self._proxy(default, method)
                 return
 
-        if method != "GET":
-            self.close_connection = True
-        self._send_json(
-            404,
-            {
-                "error": "not_found",
-                "code": "not_found",
-                "http_status": 404,
-                "detail": f"no such route: {method} {self.path}",
-                "path": self.path,
-            },
-        )
+        self._not_found(method)
 
     def _proxy(self, corpus: str, method: str) -> None:
-        body: bytes | None = None
-        if method in ("POST", "PUT"):
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                self.close_connection = True
-                raise RequestValidationError(
-                    "Content-Length header must be an integer"
-                ) from None
-            if length > _MAX_BODY_BYTES:
-                self.close_connection = True
-                raise RequestValidationError("request body too large for proxying")
-            if length > 0:
-                body = self.rfile.read(length)
+        body = self._read_body(_MAX_BODY_BYTES) if method == "POST" else b""
         headers = {"X-Request-Id": self.request_id}
         for name in _FORWARD_HEADERS:
             value = self.headers.get(name)
             if value is not None:
                 headers[name] = value
         status, payload, response_headers = self.server.router.proxy(
-            corpus, method, self.path, body=body, headers=headers
+            corpus, method, self.path, body=body or None, headers=headers
         )
         passthrough = {
             name: response_headers[name]
@@ -864,54 +792,3 @@ class _RouterHandler(BaseHTTPRequestHandler):
         }
         content_type = passthrough.pop("Content-Type", "application/json")
         self._send_bytes(status, payload, content_type, passthrough)
-
-    def _send_error(self, exc: BaseException) -> None:
-        payload = error_payload(exc)
-        headers: dict[str, str] = {}
-        if isinstance(exc, ReplicaUnavailableError):
-            headers["Retry-After"] = str(max(1, math.ceil(exc.retry_after_seconds)))
-            payload["corpus"] = exc.corpus
-            payload["replica"] = exc.replica
-            payload["retry_after_seconds"] = exc.retry_after_seconds
-        if isinstance(exc, CorpusNotFoundError):
-            payload["corpus"] = exc.name
-        if isinstance(exc, ReplicaNotFoundError):
-            payload["replica"] = exc.replica
-        if payload["http_status"] >= 500 and "Retry-After" not in headers:
-            headers["Retry-After"] = "1"
-        self._send_json(payload["http_status"], payload, headers)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_bytes(status, body, "application/json", extra_headers)
-
-    def _send_text(self, status: int, text: str) -> None:
-        self._send_bytes(status, text.encode("utf-8"), "text/plain; charset=utf-8")
-
-    def _send_bytes(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        request_id = getattr(self, "request_id", None)
-        if request_id:
-            self.send_header("X-Request-Id", request_id)
-        for name, value in (extra_headers or {}).items():
-            if value is not None:
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if not self.server.quiet:
-            super().log_message(format, *args)

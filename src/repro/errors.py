@@ -13,6 +13,7 @@ JSON error body.
 
 from __future__ import annotations
 
+import math
 from typing import Any
 
 
@@ -28,11 +29,28 @@ class ReproError(Exception):
             can plausibly succeed (transient faults).  Drives the serving
             layer's bounded retry-with-backoff; client errors are never
             retryable.
+        retry_after_seconds: When a retry can succeed, if the error knows
+            (a quota refill, a breaker cooldown, a re-placement); ``None``
+            leaves the ``Retry-After`` hint to the server.
+        http_fields: Fields an HTTP error body carries beyond
+            :func:`error_payload`'s, as ``body key -> attribute name``.
     """
 
     code: str = "internal"
     http_status: int = 500
     retryable: bool = False
+    retry_after_seconds: float | None = None
+    http_fields: dict[str, str] = {}
+
+    def http_extras(self) -> dict[str, Any]:
+        """This error's :attr:`http_fields`, ready for a JSON body."""
+        return {key: getattr(self, name) for key, name in self.http_fields.items()}
+
+    def retry_after(self) -> str | None:
+        """This error's own ``Retry-After`` header value (whole seconds, >= 1)."""
+        if self.retry_after_seconds is None:
+            return None
+        return str(max(1, math.ceil(self.retry_after_seconds)))
 
 
 class ConfigurationError(ReproError):
@@ -53,6 +71,7 @@ class PaperNotFoundError(CorpusError):
 
     code = "paper_not_found"
     http_status = 404
+    http_fields = {"paper_id": "paper_id"}
 
     def __init__(self, paper_id: str) -> None:
         super().__init__(f"paper not found: {paper_id!r}")
@@ -140,6 +159,7 @@ class TenantQuotaExceededError(ServingError):
 
     code = "tenant_quota_exceeded"
     http_status = 429
+    http_fields = {"corpus": "corpus", "retry_after_seconds": "retry_after_seconds"}
 
     def __init__(
         self, corpus: str, reason: str, retry_after_seconds: float = 1.0
@@ -175,6 +195,7 @@ class DeadlineExceededError(ServingError):
 
     code = "deadline_exceeded"
     http_status = 504
+    http_fields = {"stage": "stage"}
 
     def __init__(self, stage: str = "solve") -> None:
         super().__init__(f"request deadline exceeded during {stage!r}")
@@ -208,6 +229,7 @@ class CircuitOpenError(ServingError):
 
     code = "circuit_open"
     http_status = 503
+    http_fields = {"corpus": "corpus", "retry_after_seconds": "retry_after_seconds"}
 
     def __init__(self, corpus: str, retry_after_seconds: float = 1.0) -> None:
         super().__init__(
@@ -230,6 +252,11 @@ class ReplicaUnavailableError(ServingError):
     code = "replica_unavailable"
     http_status = 503
     retryable = True
+    http_fields = {
+        "corpus": "corpus",
+        "replica": "replica",
+        "retry_after_seconds": "retry_after_seconds",
+    }
 
     def __init__(
         self,
@@ -258,6 +285,7 @@ class ReplicaNotFoundError(ServingError):
 
     code = "replica_not_found"
     http_status = 404
+    http_fields = {"replica": "replica"}
 
     def __init__(self, replica: str, known: tuple[str, ...] | list[str] = ()) -> None:
         known_tuple = tuple(known)
@@ -338,6 +366,7 @@ class UnknownFieldsError(RequestValidationError):
     """
 
     code = "unknown_fields"
+    http_fields = {"unknown_fields": "fields"}
 
     def __init__(self, fields: tuple[str, ...], allowed: tuple[str, ...]) -> None:
         super().__init__(
@@ -365,6 +394,7 @@ class RequestTooLargeError(RequestValidationError):
 
     code = "payload_too_large"
     http_status = 413
+    http_fields = {"limit_bytes": "limit"}
 
     def __init__(self, length: int, limit: int) -> None:
         super().__init__(
@@ -379,6 +409,7 @@ class CorpusNotFoundError(ServingError):
 
     code = "corpus_not_found"
     http_status = 404
+    http_fields = {"corpus": "name"}
 
     def __init__(self, name: str, attached: tuple[str, ...] = ()) -> None:
         detail = f"corpus not attached: {name!r}"
@@ -405,7 +436,8 @@ def error_payload(exc: BaseException) -> dict[str, Any]:
 
     The shape is shared verbatim by the HTTP layer, the batch executor and
     programmatic callers: ``error`` duplicates ``code`` for compatibility with
-    the pre-``/v1`` body format (clients read ``body["error"]``).
+    the pre-``/v1`` body format (clients read ``body["error"]``).  HTTP
+    bodies add the error's :meth:`ReproError.http_extras`.
     """
     if isinstance(exc, ReproError):
         code, status = exc.code, exc.http_status

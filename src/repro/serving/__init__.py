@@ -15,6 +15,9 @@ library:
   the cluster router share;
 * :mod:`repro.serving.http_api` — ``http.server``-based JSON API
   (``POST /query``, ``GET /paper/<id>``, ``GET /healthz``, ``GET /metrics``);
+* :mod:`repro.serving.transport` — the HTTP handler and server bases the
+  API and the cluster router share, and the router's keep-alive upstream
+  pool;
 * :mod:`repro.serving.metrics` — latency histograms (p50/p95/p99), counters
   and gauges rendered as JSON or Prometheus-style text.
 """

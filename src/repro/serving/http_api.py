@@ -91,11 +91,12 @@ are rejected with 413 before buffering (``ServingConfig.max_body_bytes``);
 executor overload and spent per-tenant quotas yield 429 with ``Retry-After``;
 per-query deadlines yield 504.
 
-Requests are handled by :class:`ThreadingHTTPServer` (one thread per
-connection); admission control and the per-query deadline come from the app's
-single bounded :class:`~repro.serving.executor.BatchExecutor` shared across
-all tenants, so overload behaviour is identical for HTTP and programmatic
-batch clients.
+Requests are handled by the shared transport of
+:mod:`repro.serving.transport` (one thread per keep-alive connection, one
+write per response on a ``TCP_NODELAY`` socket); admission control and the
+per-query deadline come from the app's single bounded
+:class:`~repro.serving.executor.BatchExecutor` shared across all tenants, so
+overload behaviour is identical for HTTP and programmatic batch clients.
 """
 
 from __future__ import annotations
@@ -104,25 +105,13 @@ import json
 import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs
 
 from ..config import ServingConfig, TenantOverrides
-from ..errors import (
-    CircuitOpenError,
-    CorpusNotFoundError,
-    DeadlineExceededError,
-    ExecutorOverloadedError,
-    PaperNotFoundError,
-    RequestTooLargeError,
-    RequestValidationError,
-    TenantQuotaExceededError,
-    UnknownFieldsError,
-    error_payload,
-)
-from ..obs.trace import new_id
+from ..errors import RequestValidationError, UnknownFieldsError
 from .metrics import MetricsRegistry
+from .transport import JSONHandler, JSONServer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..repager.app import RePaGerApp
@@ -131,14 +120,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 __all__ = ["RePaGerHTTPServer", "create_server", "start_in_background"]
 
 
-class RePaGerHTTPServer(ThreadingHTTPServer):
+class RePaGerHTTPServer(JSONServer):
     """Threading HTTP server over one multi-tenant :class:`RePaGerApp`."""
-
-    daemon_threads = True
-    # The stdlib default backlog of 5 resets connections under a burst that
-    # the admission layer is designed to answer with orderly 429s; give the
-    # kernel room to hold a flood long enough to reject it properly.
-    request_queue_size = 128
 
     def __init__(
         self,
@@ -146,15 +129,9 @@ class RePaGerHTTPServer(ThreadingHTTPServer):
         app: "RePaGerApp",
         quiet: bool = True,
     ) -> None:
-        super().__init__(address, _Handler)
+        super().__init__(address, _Handler, quiet=quiet)
         self.app = app
-        self.quiet = quiet
         self.started_at = time.monotonic()
-
-    @property
-    def url(self) -> str:
-        host, port = self.server_address[:2]
-        return f"http://{host}:{port}"
 
     @property
     def executor(self):
@@ -223,37 +200,13 @@ def start_in_background(server: RePaGerHTTPServer) -> threading.Thread:
     return thread
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JSONHandler):
     """Route dispatch for the JSON API."""
 
     server: RePaGerHTTPServer  # narrowed type
     server_version = "RePaGerServing/1.0"
-    protocol_version = "HTTP/1.1"
 
     # -- dispatch ----------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch("DELETE")
-
-    def _dispatch(self, method: str) -> None:
-        path, _, query_string = self.path.partition("?")
-        self._query_params = parse_qs(query_string) if query_string else {}
-        # Honour a caller-supplied correlation id (bounded so a hostile
-        # header cannot bloat traces/logs); mint one otherwise.  Every
-        # response carries it back via ``X-Request-Id`` in ``_send_bytes``.
-        incoming = (self.headers.get("X-Request-Id") or "").strip()
-        self.request_id = incoming[:128] or new_id()
-        segments = [part for part in path.split("/") if part]
-        try:
-            self._route(method, segments)
-        except Exception as exc:  # noqa: BLE001 - client must always get a response
-            self._send_error(exc)
 
     def _route(self, method: str, segments: list[str]) -> None:
         app = self.server.app
@@ -348,20 +301,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._detach(tail[1])
                 return
 
-        if method != "GET":
-            # The request may carry an unread body; drop the connection so
-            # keep-alive never parses it as the next request.
-            self.close_connection = True
-        self._send_json(
-            404,
-            {
-                "error": "not_found",
-                "code": "not_found",
-                "http_status": 404,
-                "detail": f"no such route: {method} {self.path}",
-                "path": self.path,
-            },
-        )
+        self._not_found(method)
 
     # -- handlers ----------------------------------------------------------------
 
@@ -567,18 +507,7 @@ class _Handler(BaseHTTPRequestHandler):
         """
         if self.server.app.config.allow_fault_injection:
             return True
-        if method != "GET":
-            self.close_connection = True
-        self._send_json(
-            404,
-            {
-                "error": "not_found",
-                "code": "not_found",
-                "http_status": 404,
-                "detail": f"no such route: {method} {self.path}",
-                "path": self.path,
-            },
-        )
+        self._not_found(method)
         return False
 
     def _arm_faults(self) -> None:
@@ -615,7 +544,7 @@ class _Handler(BaseHTTPRequestHandler):
     # -- plumbing ----------------------------------------------------------------
 
     def _param(self, name: str) -> str | None:
-        values = self._query_params.get(name)
+        values = parse_qs(self.path.partition("?")[2]).get(name)
         return values[-1] if values else None
 
     def _int_param(self, name: str, default: int) -> int:
@@ -633,25 +562,11 @@ class _Handler(BaseHTTPRequestHandler):
         return value
 
     def _read_json(self) -> dict[str, Any]:
-        limit = self.server.app.config.max_body_bytes
-        # Any rejection below happens before the body is read, so the
-        # connection cannot be reused for keep-alive: unread body bytes would
-        # be parsed as the next request.
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            self.close_connection = True
-            raise RequestValidationError(
-                "Content-Length header must be an integer"
-            ) from None
-        if length <= 0:
+        raw = self._read_body(self.server.app.config.max_body_bytes)
+        if not raw:
+            # A negative Content-Length may still be followed by body bytes.
             self.close_connection = True
             raise RequestValidationError("request body is required")
-        if length > limit:
-            # Reject before buffering; the unread body makes the connection
-            # unusable for keep-alive, so _send_error closes it.
-            raise RequestTooLargeError(length, limit)
-        raw = self.rfile.read(length)
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -662,7 +577,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise RequestValidationError("request body must be a JSON object")
         return payload
 
-    def _queue_retry_after(self) -> int:
+    def _retry_after(self) -> str:
         """A live backoff hint: how long until queued work likely drains.
 
         Derived from the scheduler's current queue depth and worker count —
@@ -672,69 +587,4 @@ class _Handler(BaseHTTPRequestHandler):
         app = self.server.app
         depth = app.metrics.gauge("scheduler_queue_depth")
         workers = max(1, app.config.max_workers)
-        return max(1, math.ceil((depth + 1) / workers))
-
-    def _send_error(self, exc: BaseException) -> None:
-        payload = error_payload(exc)
-        headers: dict[str, str] = {}
-        if isinstance(exc, ExecutorOverloadedError):
-            headers["Retry-After"] = str(self._queue_retry_after())
-        if isinstance(exc, TenantQuotaExceededError):
-            headers["Retry-After"] = str(max(1, math.ceil(exc.retry_after_seconds)))
-            payload["corpus"] = exc.corpus
-            payload["retry_after_seconds"] = exc.retry_after_seconds
-        if isinstance(exc, CircuitOpenError):
-            headers["Retry-After"] = str(max(1, math.ceil(exc.retry_after_seconds)))
-            payload["corpus"] = exc.corpus
-            payload["retry_after_seconds"] = exc.retry_after_seconds
-        if isinstance(exc, DeadlineExceededError):
-            payload["stage"] = exc.stage
-        if isinstance(exc, PaperNotFoundError):
-            payload["paper_id"] = exc.paper_id
-        if isinstance(exc, CorpusNotFoundError):
-            payload["corpus"] = exc.name
-        if isinstance(exc, UnknownFieldsError):
-            payload["unknown_fields"] = list(exc.fields)
-        if isinstance(exc, RequestTooLargeError):
-            payload["limit_bytes"] = exc.limit
-            self.close_connection = True
-        if payload["http_status"] >= 500 and "Retry-After" not in headers:
-            # Every 5xx is transient from the client's point of view (solve
-            # failure, timeout, hung worker): always tell it when to retry,
-            # scaled by the live queue backlog.
-            headers["Retry-After"] = str(self._queue_retry_after())
-        self._send_json(payload["http_status"], payload, extra_headers=headers)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_bytes(status, body, "application/json", extra_headers)
-
-    def _send_text(self, status: int, text: str) -> None:
-        self._send_bytes(status, text.encode("utf-8"), "text/plain; charset=utf-8")
-
-    def _send_bytes(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        extra_headers: dict[str, str] | None = None,
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        request_id = getattr(self, "request_id", None)
-        if request_id:
-            self.send_header("X-Request-Id", request_id)
-        for name, value in (extra_headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if not self.server.quiet:
-            super().log_message(format, *args)
+        return str(max(1, math.ceil((depth + 1) / workers)))
