@@ -34,9 +34,14 @@ def ablation_scores(bench_store, bench_scholar, bench_graph, bench_bank):
         EvaluationConfig(k_values=(EVAL_K,), occurrence_levels=(1,), max_surveys=BENCH_SURVEYS),
     )
     scores = {}
+    # The variants differ only in the Steiner stage: one weight builder
+    # serves all seven, so PageRank and the relevance map are built once.
+    builder = RePaGerPipeline(bench_store, bench_scholar, graph=bench_graph).weight_builder
     for variant in VARIANT_CONFIGS:
         config = make_variant_config(variant, PipelineConfig())
-        pipeline = RePaGerPipeline(bench_store, bench_scholar, graph=bench_graph, config=config)
+        pipeline = RePaGerPipeline(
+            bench_store, bench_scholar, config=config, weight_builder=builder
+        )
         scores[variant] = evaluator.evaluate(PipelineMethodAdapter(pipeline, variant))
     return scores
 

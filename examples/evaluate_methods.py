@@ -56,7 +56,9 @@ def main() -> None:
     print(f"{'variant':<10s} {'F1@30':>7s} {'P@30':>7s}")
     for variant in ("NEWST", "NEWST-W", "NEWST-I", "NEWST-U", "NEWST-C"):
         config = make_variant_config(variant, PipelineConfig())
-        variant_pipeline = RePaGerPipeline(store, scholar, graph=graph, config=config)
+        variant_pipeline = RePaGerPipeline(
+            store, scholar, config=config, weight_builder=pipeline.weight_builder
+        )
         scores = evaluator.evaluate(PipelineMethodAdapter(variant_pipeline, variant))
         print(f"{variant:<10s} {scores.f1(1, 30):7.3f} {scores.precision(1, 30):7.3f}")
 

@@ -13,7 +13,7 @@ same way (:mod:`repro.cluster.cache`) so a corpus re-placed after failover
 serves repeated queries warm.
 """
 
-from .cache import CacheStore, SqliteCacheStore
+from .cache import SqliteCacheStore
 from .health import ReplicaHealth
 from .ring import ConsistentHashRing
 from .router import (
@@ -26,7 +26,6 @@ from .router import (
 from .state import InMemoryQuotaStore, QuotaStore, SqliteQuotaStore
 
 __all__ = [
-    "CacheStore",
     "ConsistentHashRing",
     "CorpusSpec",
     "InMemoryQuotaStore",

@@ -1,22 +1,21 @@
-"""Shared result-cache backends: canonical-key payload bytes behind a store.
+"""The shared result cache: canonical-key payload bytes in a sqlite file.
 
 The per-tenant :class:`~repro.serving.cache.ResultCache` lives in interpreter
 memory, so a corpus re-placed on another replica after a failover starts cold:
 the first repeated query pays a full pipeline solve even though an identical
 one just ran elsewhere.  This module externalises the *result* half of caching
-the same way :mod:`repro.cluster.state` externalised admission:
+the same way :mod:`repro.cluster.state` externalised admission.
 
-* :class:`CacheStore` — the interface :class:`~repro.repager.service.
-  RePaGerService` programs against: namespaced ``get``/``put`` of opaque
-  payload bytes with a per-entry TTL.  The service owns serialisation (the
-  wire form round-trips a :class:`~repro.repager.service.PathPayload`
-  byte-identically), the store owns durability.
-* :class:`SqliteCacheStore` — a WAL-mode sqlite file shared across replicas
-  (``serve --cache-state PATH``), one row per ``(namespace, key)`` with an
-  absolute wall-clock expiry.  Expired rows are deleted lazily on read;
-  ``put`` is ``INSERT OR REPLACE``, so the last writer wins — all writers
-  computed the same canonical payload for the same canonical key, so any
-  winner is correct.
+:class:`SqliteCacheStore` is a WAL-mode sqlite file shared across replicas
+(``serve --cache-state PATH``): namespaced ``get``/``put`` of opaque payload
+bytes, one row per ``(namespace, key)`` with an absolute wall-clock expiry.
+:class:`~repro.repager.service.RePaGerService` owns serialisation (the wire
+form round-trips a :class:`~repro.repager.service.PathPayload`
+byte-identically), the store owns durability.  Expired rows are deleted
+lazily on read; ``put`` is ``INSERT OR REPLACE``, so the last writer wins —
+all writers computed the same canonical payload for the same canonical key,
+so any winner is correct.  Namespaces isolate tenants, so a detach can drop
+one corpus's entries without touching its neighbours.
 
 The local :class:`~repro.serving.cache.ResultCache` stays in front as an L1:
 a shared-store hit is promoted into it, so the sqlite file is only consulted
@@ -29,47 +28,17 @@ from __future__ import annotations
 
 from .sqlite import SqliteFile
 
-__all__ = ["CacheStore", "SqliteCacheStore"]
+__all__ = ["SqliteCacheStore"]
 
 
-class CacheStore:
-    """Interface the serving layer's shared-cache path programs against.
-
-    All methods are thread-safe.  Values are opaque bytes: the caller owns
-    (de)serialisation and key canonicalisation; namespaces isolate tenants so
-    a detach can drop one corpus's entries without touching its neighbours.
-    """
-
-    def get(self, namespace: str, key: str) -> bytes | None:
-        """The stored payload for ``key``, or ``None`` if absent or expired."""
-        raise NotImplementedError
-
-    def put(
-        self, namespace: str, key: str, value: bytes, ttl_seconds: float
-    ) -> None:
-        """Store ``value`` under ``key``, expiring ``ttl_seconds`` from now."""
-        raise NotImplementedError
-
-    def drop_namespace(self, namespace: str) -> int:
-        """Remove every entry in ``namespace``; returns the number removed."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any underlying resources; further calls are undefined."""
-
-    def describe(self) -> dict[str, object]:
-        """JSON-ready store identity for health surfaces."""
-        return {"backend": type(self).__name__}
-
-
-class SqliteCacheStore(SqliteFile, CacheStore):
+class SqliteCacheStore(SqliteFile):
     """File-backed shared cache surviving restarts and spanning replicas.
 
     One row per ``(namespace, key)`` in a
-    :class:`~repro.cluster.sqlite.SqliteFile` (``path``, ``clock``).  Unlike
-    the quota store there is no CAS: cache writes are idempotent (every
-    writer computed the same canonical payload for the same canonical key),
-    so ``INSERT OR REPLACE`` is safe.
+    :class:`~repro.cluster.sqlite.SqliteFile` (``path``, ``clock``).  All
+    methods are thread-safe.  Unlike the quota store there is no CAS: cache
+    writes are idempotent (every writer computed the same canonical payload
+    for the same canonical key), so ``INSERT OR REPLACE`` is safe.
     """
 
     SCHEMA = (
@@ -82,6 +51,7 @@ class SqliteCacheStore(SqliteFile, CacheStore):
     )
 
     def get(self, namespace: str, key: str) -> bytes | None:
+        """The stored payload for ``key``, or ``None`` if absent or expired."""
         with self._lock:
             row = self._conn.execute(
                 "SELECT value, expires_at FROM cache_entries"
@@ -101,6 +71,7 @@ class SqliteCacheStore(SqliteFile, CacheStore):
     def put(
         self, namespace: str, key: str, value: bytes, ttl_seconds: float
     ) -> None:
+        """Store ``value`` under ``key``, expiring ``ttl_seconds`` from now."""
         with self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO cache_entries"
@@ -109,6 +80,7 @@ class SqliteCacheStore(SqliteFile, CacheStore):
             )
 
     def drop_namespace(self, namespace: str) -> int:
+        """Remove every entry in ``namespace``; returns the number removed."""
         with self._lock:
             cursor = self._conn.execute(
                 "DELETE FROM cache_entries WHERE namespace = ?", (namespace,)

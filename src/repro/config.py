@@ -467,9 +467,6 @@ class ServingConfig:
         cache_max_entries / cache_ttl_seconds: Size and freshness bounds of
             the LRU+TTL query-result cache.
         query_timeout_seconds: Per-query deadline enforced by the executor.
-        warm_up_on_start: Precompute shared per-corpus artifacts (PageRank
-            node weights, venue scores) before accepting traffic so the first
-            query does not pay the set-up cost.
         max_latency_samples: Reservoir size of each latency histogram.
         max_body_bytes: Upper bound on an HTTP request body; larger bodies
             are rejected with 413 instead of being buffered.
@@ -528,7 +525,6 @@ class ServingConfig:
     cache_max_entries: int = 256
     cache_ttl_seconds: float = 300.0
     query_timeout_seconds: float = 30.0
-    warm_up_on_start: bool = True
     max_latency_samples: int = 2048
     max_body_bytes: int = 1 << 20
     default_corpus: str = "default"

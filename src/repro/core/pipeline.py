@@ -40,13 +40,13 @@ from ..resilience.faults import fault_point
 from ..search.engine import SearchEngine
 from ..search.serapi import SerApiClient
 from ..types import ReadingPath
-from ..venues.rankings import VenueCatalog, build_default_catalog
+from ..venues.rankings import VenueCatalog
 from .newst import NewstModel
 from .reading_path import build_reading_path, rank_path_papers
 from .reallocation import cooccurrence_counts, reallocate_seeds
 from .seeds import SeedSelector
 from .subgraph import SubgraphBuilder
-from .weights import EdgeCosts, WeightedGraphBuilder
+from .weights import EdgeCosts, NodeWeights, WeightedGraphBuilder
 
 __all__ = ["PipelineResult", "RePaGerPipeline", "VARIANT_CONFIGS", "make_variant_config"]
 
@@ -103,7 +103,13 @@ def make_variant_config(name: str, base: PipelineConfig | None = None) -> Pipeli
 
 
 class RePaGerPipeline:
-    """Generate reading paths for queries over a corpus."""
+    """Generate reading paths for queries over a corpus.
+
+    ``weight_builder`` shares another pipeline's per-corpus artifacts (the
+    Table III variants of one corpus); its graph is then this pipeline's
+    graph, and it must carry this pipeline's :class:`NewstConfig`.  Without
+    one the pipeline builds its own.
+    """
 
     def __init__(
         self,
@@ -112,30 +118,36 @@ class RePaGerPipeline:
         graph: CitationGraph | None = None,
         config: PipelineConfig | None = None,
         venues: VenueCatalog | None = None,
+        weight_builder: WeightedGraphBuilder | None = None,
     ) -> None:
         self.store = store
         self.config = config or PipelineConfig()
-        self.venues = venues or build_default_catalog()
-        self.graph = graph if graph is not None else CitationGraph.from_papers(store.papers)
+        #: Stable fingerprint of this pipeline's configuration.  The serving
+        #: layer keys its result cache on it and artifact snapshots embed it,
+        #: so configuration drift (another Table III variant, changed NEWST
+        #: parameters, ...) invalidates cached state.  The config is frozen,
+        #: so it is computed once.
+        self.config_fingerprint = self.config.fingerprint()
+        if weight_builder is None:
+            weight_builder = WeightedGraphBuilder(
+                store,
+                graph if graph is not None else CitationGraph.from_papers(store.papers),
+                config=self.config.newst,
+                venues=venues,
+            )
+        elif weight_builder.config != self.config.newst:
+            raise PipelineError(
+                "the shared weight builder carries a different NewstConfig"
+            )
+        self.weight_builder = weight_builder
+        self.graph = weight_builder.graph
         self.seed_selector = SeedSelector(search_source)
-        self.weight_builder = WeightedGraphBuilder(
-            store,
-            self.graph,
-            config=self.config.newst,
-            venues=self.venues,
-        )
         self.newst = NewstModel(
             config=self.config.newst,
             use_node_weights=self.config.use_node_weights,
             use_edge_weights=self.config.use_edge_weights,
         )
-        # Node weights depend only on the full graph, so compute them once and
-        # share across queries (the PageRank pass dominates set-up time).  The
-        # lock keeps concurrent first queries from each running their own
-        # PageRank pass when the serving layer skips warm-up.
-        self._node_weights = None
-        self._node_weights_lock = threading.Lock()
-        # The Steiner solve's costs likewise depend only on the corpus and the
+        # The Steiner solve's costs depend only on the corpus and the
         # NEWST-N/-E switches: bound once over the corpus snapshot.
         self._solve_costs: tuple[EdgeCosts, BoundCosts] | None = None
         self._solve_costs_lock = threading.Lock()
@@ -143,13 +155,9 @@ class RePaGerPipeline:
     # -- helpers ------------------------------------------------------------------
 
     @property
-    def node_weights(self):
-        """Eq. 3 node weights over the full citation graph (computed lazily)."""
-        if self._node_weights is None:
-            with self._node_weights_lock:
-                if self._node_weights is None:
-                    self._node_weights = self.weight_builder.node_weights()
-        return self._node_weights
+    def node_weights(self) -> NodeWeights:
+        """Eq. 3 node weights over the full citation graph (the builder's)."""
+        return self.weight_builder.node_weights()
 
     @property
     def indexed_graph(self):
@@ -179,29 +187,6 @@ class RePaGerPipeline:
                     )
                     self._solve_costs = (edge_costs, bound)
         return self._solve_costs
-
-    @property
-    def config_fingerprint(self) -> str:
-        """Stable fingerprint of this pipeline's configuration.
-
-        The serving layer keys its result cache on this value and artifact
-        snapshots embed it, so configuration drift (a different Table III
-        variant, changed NEWST parameters, ...) invalidates cached state.
-        """
-        return self.config.fingerprint()
-
-    def prime_node_weights(self, node_weights) -> None:
-        """Install precomputed Eq. 3 node weights (warm-up / snapshot restore).
-
-        After priming, concurrent :meth:`generate` calls only read shared
-        state, which makes a thread-pool executor safe without locking.
-        """
-        self._node_weights = node_weights
-
-    @property
-    def primed_node_weights(self):
-        """The node weights if already computed/primed, without computing them."""
-        return self._node_weights
 
     def _terminals(
         self,

@@ -90,7 +90,13 @@ class EdgeCosts:
 
 
 class WeightedGraphBuilder:
-    """Step 2 of the pipeline: attach NEWST weights to the citation graph."""
+    """Step 2 of the pipeline: attach NEWST weights to the citation graph.
+
+    The builder owns a corpus's configuration-independent artifacts: the CSR
+    snapshot, the Eq. 3 node weights and the Eq. 2 relevance map.  Each is
+    built once, lazily or by warm-up, and the Table III variant pipelines
+    over the corpus all read them through one builder.
+    """
 
     def __init__(
         self,
@@ -104,10 +110,39 @@ class WeightedGraphBuilder:
         self.config = config or NewstConfig()
         self.venues = venues or build_default_catalog()
         self._pagerank: dict[str, float] | None = None
+        self._node_weights: NodeWeights | None = None
         self._snapshot: IndexedGraph | None = None
-        self._snapshot_lock = threading.Lock()
         self._edge_relevance: Mapping[tuple[str, str], float] | None = None
-        self._edge_relevance_lock = threading.Lock()
+        # One reentrant lock guards every lazy build: the node weights and
+        # the relevance map both build the snapshot under it.
+        self._lock = threading.RLock()
+
+    def readiness(self) -> dict[str, bool]:
+        """Which per-corpus artifacts are built, without building any."""
+        return {
+            "node_weights_ready": self._node_weights is not None,
+            "graph_snapshot_ready": self._snapshot is not None,
+            "edge_relevance_ready": self._edge_relevance is not None,
+        }
+
+    def restore(
+        self,
+        pagerank_scores: Mapping[str, float],
+        venue_scores: Mapping[str, float],
+        edge_relevance: Mapping[tuple[str, str], float],
+    ) -> None:
+        """Install artifacts restored from an artifact snapshot.
+
+        An empty relevance map stays lazy: it is computed on first use.
+        """
+        with self._lock:
+            self._node_weights = NodeWeights(
+                pagerank_scores=pagerank_scores,
+                venue_scores=venue_scores,
+                config=self.config,
+            )
+            if edge_relevance:
+                self._edge_relevance = edge_relevance
 
     # -- indexed snapshot --------------------------------------------------------
 
@@ -119,7 +154,7 @@ class WeightedGraphBuilder:
         per corpus.
         """
         if self._snapshot is None:
-            with self._snapshot_lock:
+            with self._lock:
                 if self._snapshot is None:
                     self._snapshot = IndexedGraph.from_graph(self.graph)
         return self._snapshot
@@ -157,12 +192,20 @@ class WeightedGraphBuilder:
         return scores
 
     def node_weights(self) -> NodeWeights:
-        """Build the Eq. 3 node-weight object for the full graph."""
-        return NodeWeights(
-            pagerank_scores=self.pagerank_scores(),
-            venue_scores=self.venue_scores(),
-            config=self.config,
-        )
+        """The Eq. 3 node-weight object for the full graph (built once, cached).
+
+        Every pipeline over the corpus shares it, whatever its Table III
+        switches: the PageRank pass dominates set-up time.
+        """
+        if self._node_weights is None:
+            with self._lock:
+                if self._node_weights is None:
+                    self._node_weights = NodeWeights(
+                        pagerank_scores=self.pagerank_scores(),
+                        venue_scores=self.venue_scores(),
+                        config=self.config,
+                    )
+        return self._node_weights
 
     # -- edge costs ------------------------------------------------------------------
 
@@ -182,36 +225,9 @@ class WeightedGraphBuilder:
         — about 100 bytes per entry, the same order as the snapshot itself.
         """
         if self._edge_relevance is None:
-            with self._edge_relevance_lock:
+            with self._lock:
                 if self._edge_relevance is None:
                     self._edge_relevance = self._compute_edge_relevance()
-        return self._edge_relevance
-
-    def prime_edge_relevance(self, relevance: Mapping[tuple[str, str], float]) -> None:
-        """Share a precomputed relevance map (snapshot restore, variant pipelines).
-
-        The map is read-only once built, so it is installed as is, like the
-        CSR snapshot: every pipeline over the corpus holds the same object.
-        """
-        self._edge_relevance = relevance
-
-    def prime_indexed_snapshot(self, snapshot: IndexedGraph) -> None:
-        """Share an already-built CSR snapshot (pipeline-variant services).
-
-        The snapshot is immutable, so tenants hosting several Table III
-        variants of one corpus hand the same object to every variant pipeline
-        instead of re-walking the dict graph per variant.
-        """
-        self._snapshot = snapshot
-
-    @property
-    def primed_snapshot(self) -> IndexedGraph | None:
-        """The CSR snapshot if already built, without building it."""
-        return self._snapshot
-
-    @property
-    def primed_edge_relevance(self) -> Mapping[tuple[str, str], float] | None:
-        """The relevance map if already computed, without computing it."""
         return self._edge_relevance
 
     def _compute_edge_relevance(self) -> dict[tuple[str, str], float]:

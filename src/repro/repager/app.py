@@ -27,10 +27,10 @@ module is that layer:
   metrics label dropped, and the next request transparently re-attaches it
   from the recorded :class:`~repro.serving.warmup.ArtifactSnapshot`;
 * per-request **pipeline-variant overrides**: a query may name any Table III
-  variant (``"NEWST-W"``, ``"NEWST-C"``, ...) and the tenant lazily
-  instantiates a variant service that shares the corpus artifacts (CSR
-  snapshot, node weights, edge relevance, search index) with the base
-  pipeline — only the Steiner-stage configuration differs.
+  variant (``"NEWST-W"``, ``"NEWST-C"``, ...) and the tenant's service lazily
+  builds a variant pipeline over the base pipeline's weight builder (CSR
+  snapshot, node weights, edge relevance) and search index — only the
+  Steiner-stage configuration differs.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from typing import Any, Hashable, Mapping, Sequence
 from ..cluster.cache import SqliteCacheStore
 from ..cluster.state import SqliteQuotaStore
 from ..config import PipelineConfig, ServingConfig, TenantOverrides
-from ..core.pipeline import VARIANT_CONFIGS, make_variant_config
 from ..corpus.storage import CorpusStore
 from ..errors import (
     CircuitOpenError,
@@ -59,7 +58,6 @@ from ..errors import (
     RequestValidationError,
     ServingError,
     SnapshotCorruptError,
-    UnknownVariantError,
 )
 from ..obs.events import EventLog
 from ..obs.trace import Trace, Tracer
@@ -68,7 +66,7 @@ from ..resilience.faults import FaultPlan, active_plan, arm, disarm
 from ..serving.cache import ResultCache, make_query_key
 from ..serving.executor import BatchExecutor, QueryRequest, validate_query_body
 from ..serving.metrics import MetricsRegistry
-from .service import PathPayload, RePaGerService
+from .service import PathPayload, RePaGerService, normalize_variant
 
 __all__ = [
     "CorpusRegistry",
@@ -86,18 +84,6 @@ DEFAULT_VARIANT = "default"
 
 #: Corpus names must be URL- and metric-label-safe.
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-
-def normalize_variant(name: str) -> str:
-    """Canonical (upper-case) form of a Table III variant name.
-
-    Raises:
-        UnknownVariantError: The name is not a registered variant.
-    """
-    canonical = name.upper()
-    if canonical not in VARIANT_CONFIGS:
-        raise UnknownVariantError(name, tuple(VARIANT_CONFIGS))
-    return canonical
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,11 +212,11 @@ class QueryResponse:
 
 
 class Tenant:
-    """One named corpus and its services (base pipeline + lazy variants).
+    """One named corpus and its service (base pipeline + lazy variants).
 
     Args:
         name: Registry name (URL- and metric-label-safe).
-        service: The tenant's base-pipeline service.
+        service: The tenant's service (every pipeline variant answers through it).
         source: Human-readable origin label (``"store"``, a directory, ...).
         overrides: Per-tenant serving overrides resolved at attach time.
         corpus_dir: The on-disk corpus this tenant was loaded from; only
@@ -257,11 +243,10 @@ class Tenant:
         self.snapshot_path = snapshot_path
         self.attached_at = time.monotonic()
         self.last_used = self.attached_at
-        self._variants: dict[str, RePaGerService] = {}
         # Per-variant serving counters (queries answered, cache hits), keyed
         # by the canonical variant label ("default" = no override).  Variant
-        # services share the base cache and metrics registry, so these are
-        # the only per-variant numbers available.
+        # pipelines answer through the one service's cache and metrics
+        # registry, so these are the only per-variant numbers available.
         self._variant_stats: dict[str, dict[str, int]] = {}
         self._lock = threading.Lock()
 
@@ -274,87 +259,6 @@ class Tenant:
         """Whether this tenant can be dropped and re-attached from disk."""
         return self.corpus_dir is not None
 
-    def service_for(self, variant: str | None = None) -> RePaGerService:
-        """The service answering queries for ``variant`` (``None`` = base).
-
-        Variant services are created on first use and share every per-corpus
-        artifact with the base pipeline — the store, graph, CSR snapshot,
-        node weights, edge-relevance map, search engine (and its index), the
-        namespaced cache and the tenant's metrics registry.  Only the
-        pipeline configuration differs, so instantiation is cheap.
-        """
-        if variant is None:
-            return self.service
-        canonical = normalize_variant(variant)
-        config = make_variant_config(canonical, self.service.pipeline.config)
-        if config == self.service.pipeline.config:
-            return self.service
-        with self._lock:
-            existing = self._variants.get(canonical)
-            if existing is not None:
-                return existing
-            service = self._build_variant(config)
-            self._variants[canonical] = service
-            return service
-
-    def _build_variant(self, config: PipelineConfig) -> RePaGerService:
-        base = self.service
-        service = RePaGerService(
-            base.store,
-            search_engine=base.search_engine,
-            pipeline_config=config,
-            venues=base.venues,
-            graph=base.graph,
-            cache=base.cache,
-            metrics=base.metrics,
-            cache_namespace=base.cache_namespace,
-            shared_cache=base.shared_cache,
-        )
-        base_pipeline = base.pipeline
-        builder = base_pipeline.weight_builder
-        # Hand over whatever the base pipeline has already computed; anything
-        # missing stays lazy.  Variant overrides never touch NewstConfig, so
-        # the node-weight object is directly reusable.
-        snapshot = builder.primed_snapshot
-        if snapshot is not None:
-            service.pipeline.weight_builder.prime_indexed_snapshot(snapshot)
-        if base_pipeline.primed_node_weights is not None:
-            service.pipeline.prime_node_weights(base_pipeline.node_weights)
-        relevance = builder.primed_edge_relevance
-        if relevance is not None:
-            service.pipeline.weight_builder.prime_edge_relevance(relevance)
-        return service
-
-    def ensure_base_primed(self) -> None:
-        """Prime the base pipeline from any already-primed variant.
-
-        Priming flows base → variant at build time, but a tenant whose only
-        traffic targeted a variant leaves the *base* cold — and eviction
-        snapshots the base service.  The shared artifacts (node weights, CSR
-        snapshot, edge relevance) are configuration-independent (variant
-        overrides never touch ``NewstConfig``), so they hand back to the base
-        unchanged, making the eviction snapshot capture variant-warmed
-        artifacts too.
-        """
-        base_pipeline = self.service.pipeline
-        if base_pipeline.primed_node_weights is not None:
-            return
-        with self._lock:
-            candidates = list(self._variants.values())
-        for variant_service in candidates:
-            pipeline = variant_service.pipeline
-            if pipeline.primed_node_weights is None:
-                continue
-            builder = pipeline.weight_builder
-            snapshot = builder.primed_snapshot
-            if snapshot is not None:
-                base_pipeline.weight_builder.prime_indexed_snapshot(snapshot)
-            base_pipeline.prime_node_weights(pipeline.node_weights)
-            relevance = builder.primed_edge_relevance
-            if relevance is not None:
-                base_pipeline.weight_builder.prime_edge_relevance(relevance)
-            return
-
     def record_query(self, variant: str, cached: bool) -> None:
         """Count one answered query against its variant label."""
         with self._lock:
@@ -365,26 +269,23 @@ class Tenant:
             if cached:
                 stats["cache_hits"] += 1
 
-    def variants_loaded(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(sorted(self._variants))
-
     def variant_report(self) -> dict[str, dict[str, Any]]:
         """Per-variant serving detail: counters, fingerprint, cache entries.
 
-        Covers the base pipeline (``"default"``), every lazily instantiated
-        variant service, and any variant label that was queried but aliases
-        the base configuration (e.g. requesting ``"NEWST"`` on a NEWST-
-        configured tenant never instantiates a separate service).
+        Covers the base pipeline (``"default"``), every lazily built variant
+        pipeline, and any variant label that was queried but aliases the
+        base configuration (e.g. requesting ``"NEWST"`` on a NEWST-configured
+        tenant never builds a separate pipeline).
         """
+        service = self.service
         with self._lock:
-            services = {DEFAULT_VARIANT: self.service, **self._variants}
             stats = {label: dict(counts) for label, counts in self._variant_stats.items()}
+        labels = {DEFAULT_VARIANT, *service.variants_loaded(), *stats}
         report: dict[str, dict[str, Any]] = {}
-        for label in sorted(set(services) | set(stats)):
-            service = services.get(label, self.service)
+        for label in sorted(labels):
             counts = stats.get(label, {})
-            fingerprint = service.pipeline.config_fingerprint
+            variant = None if label == DEFAULT_VARIANT else label
+            fingerprint = service.pipeline_for(variant).config_fingerprint
             entry: dict[str, Any] = {
                 "config_fingerprint": fingerprint,
                 "queries": counts.get("queries", 0),
@@ -413,7 +314,7 @@ class Tenant:
             "config_fingerprint": service.pipeline.config_fingerprint,
             "warmed": all(readiness.values()),
             "readiness": readiness,
-            "variants_loaded": list(self.variants_loaded()),
+            "variants_loaded": list(service.variants_loaded()),
             "variants": self.variant_report(),
             "overrides": self.overrides.to_dict() if self.overrides else None,
             "snapshot_path": self.snapshot_path,
@@ -441,10 +342,6 @@ class EvictedTenant:
     overrides: TenantOverrides | None
     default: bool
     evicted_at: float
-    #: Variant labels that were live at eviction time.  Re-attach rebuilds
-    #: them primed from the restored base artifacts, so a tenant whose
-    #: ablation variants were warm does not come back with cold variants.
-    variants: tuple[str, ...] = ()
 
     def descriptor(self) -> dict[str, Any]:
         """The ``GET /v1/corpora`` / health entry for an evicted tenant."""
@@ -611,7 +508,6 @@ class CorpusRegistry:
                 overrides=tenant.overrides,
                 default=self._default == name,
                 evicted_at=time.monotonic(),
-                variants=tenant.variants_loaded(),
             )
             del self._tenants[name]
             self._evicted[name] = record
@@ -864,24 +760,29 @@ class RePaGerApp:
         corpus_dir: str | None = None,
         snapshot_path: str | None = None,
     ) -> Tenant:
-        """Build a tenant service over ``store`` with app-owned serving state:
-        the shared namespaced cache and a per-tenant metrics registry."""
-        service = RePaGerService(
+        """Build a tenant service over ``store`` and attach it."""
+        return self.attach_service(
+            name,
+            self._tenant_service(name, store, pipeline_config),
+            default=default,
+            source=source,
+            overrides=overrides,
+            corpus_dir=corpus_dir,
+            snapshot_path=snapshot_path,
+        )
+
+    def _tenant_service(
+        self, name: str, store: CorpusStore, pipeline_config: PipelineConfig | None
+    ) -> RePaGerService:
+        """A tenant service over ``store`` with app-owned serving state: the
+        shared namespaced cache and L2, and a per-tenant metrics registry."""
+        return RePaGerService(
             store,
             pipeline_config=pipeline_config or self.pipeline_config,
             cache=self.cache,
             metrics=MetricsRegistry(self.config.max_latency_samples),
             cache_namespace=name,
             shared_cache=self._cache_store,
-        )
-        return self.attach_service(
-            name,
-            service,
-            default=default,
-            source=source,
-            overrides=overrides,
-            corpus_dir=corpus_dir,
-            snapshot_path=snapshot_path,
         )
 
     def attach_directory(
@@ -984,13 +885,9 @@ class RePaGerApp:
             from ..serving.warmup import capture_snapshot  # runtime: module cycle
 
             snapshot_path = tenant.snapshot_path
-            # A tenant that only ever served variant traffic has warm shared
-            # artifacts on the variant pipeline, not the base one eviction
-            # snapshots — pull them back to the base first.
-            tenant.ensure_base_primed()
             if (
                 snapshot_path is None
-                and tenant.service.pipeline.primed_node_weights is not None
+                and tenant.service.readiness()["node_weights_ready"]
             ):
                 # Snapshot only artifacts that already exist.  A cold tenant
                 # (never queried, never warmed) has nothing worth capturing —
@@ -1034,14 +931,7 @@ class RePaGerApp:
                     f"cannot re-attach evicted corpus {name!r} from "
                     f"{record.corpus_dir!r}: {exc}"
                 ) from exc
-            service = RePaGerService(
-                store,
-                pipeline_config=record.pipeline_config or self.pipeline_config,
-                cache=self.cache,
-                metrics=MetricsRegistry(self.config.max_latency_samples),
-                cache_namespace=name,
-                shared_cache=self._cache_store,
-            )
+            service = self._tenant_service(name, store, record.pipeline_config)
             if record.snapshot_path is not None:
                 from ..serving.warmup import ArtifactSnapshot  # runtime: cycle
 
@@ -1080,17 +970,6 @@ class RePaGerApp:
                 snapshot_path=record.snapshot_path,
                 lifecycle_event=None,
             )
-            # Rebuild the variants that were live at eviction time.  They
-            # prime from the just-restored base artifacts, so a re-attached
-            # tenant answers variant queries byte-identically and warm — not
-            # cold as before (PR 5 follow-up).  A variant that no longer
-            # resolves (config drift) is skipped rather than failing the
-            # whole re-attach.
-            for label in record.variants:
-                try:
-                    tenant.service_for(label)
-                except Exception:  # noqa: BLE001 - best-effort warm-up only
-                    continue
             self.events.emit(
                 "corpus_reattach",
                 corpus=name,
@@ -1350,13 +1229,14 @@ class RePaGerApp:
         if not options.use_cache or not self._is_server_failure(exc):
             return None
         try:
-            service = tenant.service_for(options.variant)
+            pipeline = tenant.service.pipeline_for(options.variant)
         except Exception:  # noqa: BLE001 - fall through to the original error
             return None
-        payload = service.stale_payload(
+        payload = tenant.service.stale_payload(
             options.query,
             year_cutoff=options.year_cutoff,
             exclude_ids=options.exclude_ids,
+            variant=options.variant,
         )
         if payload is None:
             return None
@@ -1373,7 +1253,7 @@ class RePaGerApp:
             corpus=tenant.name,
             variant=variant,
             cached=True,
-            config_fingerprint=service.pipeline.config_fingerprint,
+            config_fingerprint=pipeline.config_fingerprint,
             degraded=True,
             degraded_reason=reason,
         )
@@ -1440,12 +1320,13 @@ class RePaGerApp:
         through :meth:`query`.
         """
         tenant = self._resolve_tenant(request.corpus)
-        service = tenant.service_for(request.variant)
-        payload, cached = service.query_with_meta(
+        pipeline = tenant.service.pipeline_for(request.variant)
+        payload, cached = tenant.service.query_with_meta(
             request.text,
             year_cutoff=request.year_cutoff,
             exclude_ids=request.exclude_ids,
             use_cache=request.use_cache,
+            variant=request.variant,
         )
         variant = (
             normalize_variant(request.variant) if request.variant else DEFAULT_VARIANT
@@ -1456,7 +1337,7 @@ class RePaGerApp:
             corpus=tenant.name,
             variant=variant,
             cached=cached,
-            config_fingerprint=service.pipeline.config_fingerprint,
+            config_fingerprint=pipeline.config_fingerprint,
         )
 
     def coalesce_key(self, request: QueryRequest) -> Hashable:
@@ -1471,12 +1352,12 @@ class RePaGerApp:
         coalesce" — the worker then re-attaches or errors through the normal
         taxonomy path.
         """
-        service = self.registry.resolve(request.corpus).service_for(request.variant)
+        service = self.registry.resolve(request.corpus).service
         return make_query_key(
             request.text,
             request.year_cutoff,
             request.exclude_ids,
-            service.pipeline.config_fingerprint,
+            service.pipeline_for(request.variant).config_fingerprint,
             namespace=service.cache_namespace or (request.corpus or ""),
         )
 

@@ -164,10 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="request-body size cap; larger bodies are rejected with 413",
     )
     serve.add_argument(
-        "--no-warmup", action="store_true",
-        help="skip artifact precomputation (first query pays the set-up cost)",
-    )
-    serve.add_argument(
         "--event-log", default=None, metavar="PATH",
         help="append structured lifecycle events (attach/detach/evict/"
              "re-attach/quota-reject) as JSONL to PATH; follow with "
@@ -507,7 +503,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_max_entries=args.cache_size,
         cache_ttl_seconds=args.cache_ttl,
         query_timeout_seconds=args.timeout,
-        warm_up_on_start=not args.no_warmup,
         max_body_bytes=args.max_body_bytes,
         default_corpus=args.default_corpus,
         max_resident_corpora=args.max_resident,
@@ -610,21 +605,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     snapshots = load_snapshots(
         {n: p for n, p in snapshot_paths.items() if n in app.registry.names()}
     )
-    if serving_config.warm_up_on_start:
-        for name, report in warm_up_registry(app.registry, snapshots=snapshots).items():
-            print(
-                f"warmed up {name!r}: {report.graph_nodes} nodes / "
-                f"{report.graph_edges} edges in {report.elapsed_seconds:.2f}s"
-                + (" (from snapshot)" if report.from_snapshot else ""),
-                flush=True,
-            )
-    else:
-        # --no-warmup skips the eager artifact computation, but an explicitly
-        # requested snapshot must never be silently dropped: restore it so
-        # the first query starts from the shipped artifacts.
-        for name, snapshot in snapshots.items():
-            snapshot.restore_into(app.registry.get(name).service)
-            print(f"restored snapshot into {name!r} (no warm-up)", flush=True)
+    for name, report in warm_up_registry(app.registry, snapshots=snapshots).items():
+        print(
+            f"warmed up {name!r}: {report.graph_nodes} nodes / "
+            f"{report.graph_edges} edges in {report.elapsed_seconds:.2f}s"
+            + (" (from snapshot)" if report.from_snapshot else ""),
+            flush=True,
+        )
     for name in sorted(app.registry.evicted_names()):
         print(f"corpus {name!r} evicted at startup (resident limit)", flush=True)
 

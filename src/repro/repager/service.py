@@ -11,6 +11,7 @@ legend and per-paper detail records).
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any, Sequence
@@ -18,7 +19,13 @@ from typing import TYPE_CHECKING, Any, Sequence
 from ..config import CorpusConfig, PipelineConfig
 from ..corpus.generator import CorpusGenerator, GeneratedCorpus
 from ..corpus.storage import CorpusStore
-from ..core.pipeline import PipelineResult, RePaGerPipeline
+from ..core.pipeline import (
+    VARIANT_CONFIGS,
+    PipelineResult,
+    RePaGerPipeline,
+    make_variant_config,
+)
+from ..errors import UnknownVariantError
 from ..graph.citation_graph import CitationGraph
 from ..obs.trace import stage
 from ..resilience.faults import fault_point
@@ -31,11 +38,12 @@ from ..venues.rankings import VenueCatalog, build_default_catalog
 from .render import render_ascii_tree, render_flat_list
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from ..cluster.cache import CacheStore
+    from ..cluster.cache import SqliteCacheStore
 
 __all__ = [
     "PathPayload",
     "RePaGerService",
+    "normalize_variant",
     "payload_from_wire",
     "payload_to_wire",
     "wire_cache_key",
@@ -44,6 +52,18 @@ __all__ = [
 #: Fallback TTL for shared-store entries when neither the tenant override nor
 #: a local cache default applies (mirrors ``ResultCache``'s default).
 _SHARED_CACHE_TTL_SECONDS = 300.0
+
+
+def normalize_variant(name: str) -> str:
+    """Canonical (upper-case) form of a Table III variant name.
+
+    Raises:
+        UnknownVariantError: The name is not a registered variant.
+    """
+    canonical = name.upper()
+    if canonical not in VARIANT_CONFIGS:
+        raise UnknownVariantError(name, tuple(VARIANT_CONFIGS))
+    return canonical
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,7 +165,13 @@ def payload_from_wire(data: bytes) -> PathPayload:
 
 
 class RePaGerService:
-    """End-to-end service: corpus + graph + search + pipeline behind one API."""
+    """End-to-end service: corpus + graph + search + pipeline behind one API.
+
+    The configured pipeline answers by default; a query may name any
+    Table III variant instead (:meth:`pipeline_for`).  Every variant
+    pipeline reads the base pipeline's weight builder, search engine and
+    graph, and answers through this service's cache, TTL and metrics.
+    """
 
     def __init__(
         self,
@@ -158,7 +184,7 @@ class RePaGerService:
         metrics: MetricsRegistry | None = None,
         cache_namespace: str = "",
         cache_ttl_seconds: float | None = None,
-        shared_cache: "CacheStore | None" = None,
+        shared_cache: "SqliteCacheStore | None" = None,
     ) -> None:
         self.store = store
         self.venues = venues or build_default_catalog()
@@ -169,8 +195,8 @@ class RePaGerService:
         # Per-tenant TTL override: entries this service stores into a shared
         # cache expire on the tenant's own clock, not the cache-wide default.
         self.cache_ttl_seconds = cache_ttl_seconds
-        # Cross-replica L2 (:class:`~repro.cluster.cache.CacheStore`): looked
-        # up after a local miss, written after every solve, strictly
+        # Cross-replica L2 (:class:`~repro.cluster.cache.SqliteCacheStore`):
+        # looked up after a local miss, written after every solve, strictly
         # best-effort — a broken store degrades to cold queries, never 5xx.
         self.shared_cache = shared_cache
         config = pipeline_config or PipelineConfig()
@@ -187,6 +213,49 @@ class RePaGerService:
             config=config,
             venues=self.venues,
         )
+        # Table III variant pipelines by canonical name, built on first use;
+        # a name whose config equals the base config maps to the base.
+        self._variant_pipelines: dict[str, RePaGerPipeline] = {}
+        self._variant_lock = threading.Lock()
+
+    def pipeline_for(self, variant: str | None = None) -> RePaGerPipeline:
+        """The pipeline answering ``variant`` (``None``: the base pipeline).
+
+        A variant pipeline differs from the base only in its Table III
+        switches, so it shares the base's weight builder (CSR snapshot, node
+        weights, relevance map), search engine and graph.
+
+        Raises:
+            UnknownVariantError: The name is not a registered variant.
+        """
+        if variant is None:
+            return self.pipeline
+        canonical = normalize_variant(variant)
+        pipeline = self._variant_pipelines.get(canonical)
+        if pipeline is not None:
+            return pipeline
+        with self._variant_lock:
+            pipeline = self._variant_pipelines.get(canonical)
+            if pipeline is None:
+                pipeline = self.pipeline
+                config = make_variant_config(canonical, pipeline.config)
+                if config != pipeline.config:
+                    pipeline = RePaGerPipeline(
+                        self.store,
+                        self.search_engine,
+                        config=config,
+                        weight_builder=pipeline.weight_builder,
+                    )
+                self._variant_pipelines[canonical] = pipeline
+            return pipeline
+
+    def variants_loaded(self) -> tuple[str, ...]:
+        """Names of the variant pipelines built so far, sorted."""
+        with self._variant_lock:
+            return tuple(sorted(
+                name for name, pipeline in self._variant_pipelines.items()
+                if pipeline is not self.pipeline
+            ))
 
     # -- construction helpers ------------------------------------------------------
 
@@ -229,9 +298,15 @@ class RePaGerService:
         year_cutoff: int | None = None,
         exclude_ids: Sequence[str] = (),
         use_cache: bool = True,
+        variant: str | None = None,
     ) -> tuple[PathPayload, bool]:
-        """:meth:`query` plus serving metadata: ``(payload, served_from_cache)``."""
+        """:meth:`query` plus serving metadata: ``(payload, served_from_cache)``.
+
+        ``variant`` names the Table III pipeline that answers
+        (:meth:`pipeline_for`); ``None`` is the configured pipeline.
+        """
         started = time.perf_counter()
+        pipeline = self.pipeline_for(variant)
         key = None
         if use_cache and (self.cache is not None or self.shared_cache is not None):
             shared_hit = False
@@ -241,7 +316,7 @@ class RePaGerService:
                     text,
                     year_cutoff,
                     exclude_ids,
-                    self.pipeline.config_fingerprint,
+                    pipeline.config_fingerprint,
                     namespace=self.cache_namespace,
                 )
                 cached = self.cache.get(key) if self.cache is not None else None
@@ -267,7 +342,7 @@ class RePaGerService:
                 return cached, True
 
         with stage("pipeline") as span:
-            result = self.pipeline.generate(
+            result = pipeline.generate(
                 text, year_cutoff=year_cutoff, exclude_ids=exclude_ids
             )
             span.tag(pipeline_seconds=round(result.elapsed_seconds, 6))
@@ -317,6 +392,7 @@ class RePaGerService:
         text: str,
         year_cutoff: int | None = None,
         exclude_ids: Sequence[str] = (),
+        variant: str | None = None,
     ) -> PathPayload | None:
         """The last cached payload for this exact query, fresh *or* stale.
 
@@ -331,7 +407,7 @@ class RePaGerService:
             text,
             year_cutoff,
             exclude_ids,
-            self.pipeline.config_fingerprint,
+            self.pipeline_for(variant).config_fingerprint,
             namespace=self.cache_namespace,
         )
         payload = self.cache.get_stale(key)
@@ -346,16 +422,15 @@ class RePaGerService:
         warm-up has not run yet answers its first queries at cold-start
         latency, so ``/v1/corpora/<name>/healthz`` surfaces them.
         """
-        pipeline = self.pipeline
-        builder = pipeline.weight_builder
+        built = self.pipeline.weight_builder.readiness()
         search_index_built = False
         if isinstance(self.search_engine, SearchEngine):
             search_index_built = self.search_engine.index_built
         return {
-            "node_weights_ready": pipeline.primed_node_weights is not None,
-            "graph_snapshot_ready": builder.primed_snapshot is not None,
+            "node_weights_ready": built["node_weights_ready"],
+            "graph_snapshot_ready": built["graph_snapshot_ready"],
             "search_index_ready": search_index_built,
-            "edge_relevance_ready": builder.primed_edge_relevance is not None,
+            "edge_relevance_ready": built["edge_relevance_ready"],
         }
 
     def _observe(

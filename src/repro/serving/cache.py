@@ -249,7 +249,7 @@ class ResultCache:
 
         ``fingerprint`` narrows the count to entries stored under one
         pipeline-configuration fingerprint — the per-variant cache occupancy
-        surfaced by ``GET /v1/corpora/<name>`` (variant services share the
+        surfaced by ``GET /v1/corpora/<name>`` (variant pipelines share the
         tenant's namespace but key entries under their own fingerprint).
         Non-mutating: expired entries are skipped, not dropped.
         """

@@ -8,7 +8,9 @@ Both ``repager serve`` (:mod:`repro.serving.http_api`) and ``repager route``
   body-size checks, the taxonomy error responses of :mod:`repro.errors` and
   the senders.  Responses leave in one write on a ``TCP_NODELAY`` socket, and
   every response after which the server closes the connection says
-  ``Connection: close``.
+  ``Connection: close``.  The errors :mod:`http.server` raises itself (an
+  unknown method, a malformed request) answer with taxonomy bodies too, and
+  an idle keep-alive connection is closed after :attr:`JSONHandler.timeout`.
 * :class:`JSONServer` — the threading server; closing it also shuts down the
   keep-alive connections it accepted.
 * :class:`UpstreamPool` — the client side: keep-alive connections to one
@@ -21,6 +23,7 @@ import http.client
 import json
 import socket
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Mapping
 from urllib.parse import urlsplit
@@ -102,6 +105,10 @@ class JSONHandler(BaseHTTPRequestHandler):
     # TCP_NODELAY on every accepted socket: a response never waits for the
     # peer's delayed ACK of an earlier segment.
     disable_nagle_algorithm = True
+    # Idle timeout (seconds) of an accepted socket.  A keep-alive connection
+    # that sends nothing for this long is closed and frees its handler
+    # thread; the router's upstream pool retries such a closed socket once.
+    timeout = 60.0
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._dispatch("GET")
@@ -161,6 +168,28 @@ class JSONHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             raise RequestTooLargeError(length, limit)
         return self.rfile.read(length) if length > 0 else b""
+
+    def send_error(
+        self, code: int, message: str | None = None, explain: str | None = None
+    ) -> None:
+        """Answer an error :mod:`http.server` raised itself as a taxonomy body.
+
+        That is 501 for a method without a handler and 400, 414, 431 or 505
+        from request parsing.  No route ran, so the request id is minted
+        here.  The connection closes, and a HEAD request gets no body.
+        """
+        status = HTTPStatus(code)
+        code_name = status.phrase.lower().replace("-", "_").replace(" ", "_")
+        payload = {
+            "error": code_name,
+            "code": code_name,
+            "http_status": code,
+            "detail": explain or message or status.description,
+        }
+        self.request_id = new_id()
+        self.close_connection = True
+        body = b"" if self.command == "HEAD" else json.dumps(payload).encode("utf-8")
+        self._send_bytes(code, body, "application/json")
 
     def _retry_after(self) -> str:
         """``Retry-After`` for a 429 or 5xx whose error names no retry time."""

@@ -4,9 +4,10 @@ The expensive parts of answering a query are split between *per-corpus*
 artifacts (the PageRank pass behind Eq. 3 node weights, venue scores, the
 citation-graph adjacency, the inverted search index, the edge-relevance map,
 the Steiner solve's cost arrays) and *per-query* work (subgraph expansion,
-seed reallocation, the Steiner tree).  The per-corpus artifacts are computed lazily by
-:class:`~repro.core.pipeline.RePaGerPipeline` and the search engine, which
-means the first query of a fresh process pays for all of them.
+seed reallocation, the Steiner tree).  The per-corpus artifacts are computed
+lazily by the pipeline's :class:`~repro.core.weights.WeightedGraphBuilder`
+and the search engine, which means the first query of a fresh process pays
+for all of them.
 
 :func:`warm_up` forces that computation eagerly so first-query latency
 collapses to per-query work only, and :class:`ArtifactSnapshot` makes the
@@ -28,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from ..core.weights import NodeWeights
 from ..errors import ServingError, SnapshotCorruptError, SnapshotMismatchError
 from ..resilience.faults import fault_point
 from ..search.engine import SearchEngine
@@ -174,7 +174,7 @@ class ArtifactSnapshot:
         )
 
     def restore_into(self, service: "RePaGerService") -> None:
-        """Prime a service's pipeline with the snapshot's shared artifacts.
+        """Install the snapshot's artifacts into a service's weight builder.
 
         Raises:
             SnapshotMismatchError: If the snapshot was captured under a
@@ -188,7 +188,7 @@ class ArtifactSnapshot:
             or self.graph_edges != service.graph.num_edges
         ):
             # The fingerprint only covers configuration; a snapshot from a
-            # different corpus would prime maps whose keys don't exist here
+            # different corpus would restore maps whose keys don't exist here
             # and surface later as inexplicable KeyErrors on the hot path.
             raise ServingError(
                 f"artifact snapshot was captured on a different corpus: "
@@ -196,15 +196,9 @@ class ArtifactSnapshot:
                 f"{self.graph_edges} edges, service graph is "
                 f"{service.graph.num_nodes} nodes / {service.graph.num_edges} edges"
             )
-        service.pipeline.prime_node_weights(
-            NodeWeights(
-                pagerank_scores=dict(self.pagerank_scores),
-                venue_scores=dict(self.venue_scores),
-                config=service.pipeline.config.newst,
-            )
+        service.pipeline.weight_builder.restore(
+            dict(self.pagerank_scores), dict(self.venue_scores), self.edge_relevance
         )
-        if self.edge_relevance:
-            service.pipeline.weight_builder.prime_edge_relevance(self.edge_relevance)
         if self.search_index is not None and isinstance(
             service.search_engine, SearchEngine
         ):

@@ -61,19 +61,18 @@ def make_variant_pipeline(
     search_engine,
     graph,
     variant: str,
-    node_weights=None,
+    weight_builder=None,
 ) -> RePaGerPipeline:
     """A pipeline for one Table III variant.
 
-    ``node_weights`` lets callers share the (variant-independent) Eq. 3 node
-    weights across the seven variants instead of re-running PageRank per
+    ``weight_builder`` lets callers share the (variant-independent) corpus
+    artifacts across the seven variants instead of re-running PageRank per
     variant.
     """
     config = make_variant_config(variant, PipelineConfig())
-    pipeline = RePaGerPipeline(store, search_engine, graph=graph, config=config)
-    if node_weights is not None:
-        pipeline.prime_node_weights(node_weights)
-    return pipeline
+    return RePaGerPipeline(
+        store, search_engine, graph=graph, config=config, weight_builder=weight_builder
+    )
 
 
 def query_payload(pipeline: RePaGerPipeline, query: str) -> dict[str, object]:
@@ -120,14 +119,14 @@ def compute_all_payloads(
 ) -> Mapping[str, dict[str, object]]:
     """Payloads for every Table III variant.
 
-    PageRank/venue node weights are computed once and shared across variants
-    (they do not depend on the ablation switches).
+    The variants share one weight builder: the CSR snapshot, node weights
+    and relevance map do not depend on the ablation switches.
     """
-    shared = make_variant_pipeline(store, search_engine, graph, "NEWST").node_weights
+    shared = make_variant_pipeline(store, search_engine, graph, "NEWST").weight_builder
     payloads: dict[str, dict[str, object]] = {}
     for variant in GOLDEN_VARIANTS:
         pipeline = make_variant_pipeline(
-            store, search_engine, graph, variant, node_weights=shared
+            store, search_engine, graph, variant, weight_builder=shared
         )
         payloads[variant] = variant_payload(pipeline)
     return payloads

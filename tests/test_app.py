@@ -8,10 +8,17 @@ pipeline-variant overrides.
 
 from __future__ import annotations
 
+import sys
+import threading
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
-from repro.config import PipelineConfig, ServingConfig
+from repro.config import PipelineConfig, ServingConfig, TenantOverrides
+from repro.core import weights as weights_module
 from repro.core.pipeline import VARIANT_CONFIGS, make_variant_config
+from repro.core.weights import WeightedGraphBuilder
 from repro.errors import (
     CorpusNotFoundError,
     DuplicateCorpusError,
@@ -20,16 +27,16 @@ from repro.errors import (
     UnknownVariantError,
     error_payload,
 )
+from repro.graph.indexed import IndexedGraph
 from repro.repager.app import (
     CorpusRegistry,
     QueryOptions,
     QueryResponse,
     RePaGerApp,
-    Tenant,
     normalize_variant,
 )
 from repro.repager.service import RePaGerService
-from repro.serving import warm_up, warm_up_registry
+from repro.serving import ResultCache, warm_up, warm_up_registry
 
 
 def canonical(payload) -> dict:
@@ -247,44 +254,40 @@ class TestRePaGerApp:
         assert response.config_fingerprint == dedicated.pipeline.config_fingerprint
 
     def test_variant_service_shares_corpus_artifacts(self, app):
-        """The lazily built variant pipeline reuses the base tenant's CSR
-        snapshot, node weights and edge-relevance map instead of recomputing."""
-        tenant = app.registry.get("main")
-        base = tenant.service.pipeline
-        variant_service = tenant.service_for("NEWST-N")
-        assert variant_service is not tenant.service
-        assert variant_service.pipeline._node_weights is base._node_weights
-        assert (
-            variant_service.pipeline.weight_builder._snapshot
-            is base.weight_builder._snapshot
-        )
-        assert "NEWST-N" in tenant.variants_loaded()
-        # NEWST (empty override) resolves to the base service itself.
-        assert tenant.service_for("NEWST") is tenant.service
+        """The lazily built variant pipeline reads the base pipeline's weight
+        builder — CSR snapshot, node weights, relevance map — instead of
+        recomputing them."""
+        service = app.registry.get("main").service
+        base = service.pipeline
+        variant = service.pipeline_for("NEWST-N")
+        assert variant is not base
+        assert variant.weight_builder is base.weight_builder
+        assert variant.node_weights is base.node_weights
+        assert variant.indexed_graph is base.indexed_graph
+        assert "NEWST-N" in service.variants_loaded()
+        # NEWST (empty override) resolves to the base pipeline itself.
+        assert service.pipeline_for("NEWST") is base
+        assert "NEWST" not in service.variants_loaded()
 
     def test_variant_builders_hold_the_base_relevance_map(
         self, app, store, scholar_engine, citation_graph, venues
     ):
-        """Priming shares the read-only edge-relevance map both ways instead
-        of copying it: base -> variant at build time, and variant -> base
-        when only variant traffic warmed the tenant."""
-        tenant = app.registry.get("main")
-        base = tenant.service.pipeline.weight_builder
-        variant = tenant.service_for("NEWST-E").pipeline.weight_builder
-        assert base.primed_edge_relevance is not None
-        assert variant.primed_edge_relevance is base.primed_edge_relevance
+        """Every variant pipeline holds the base's builder, so variant-only
+        traffic warms the artifacts the base (and eviction) reads."""
+        service = app.registry.get("main").service
+        base = service.pipeline.weight_builder
+        for variant in VARIANT_CONFIGS:
+            assert service.pipeline_for(variant).weight_builder is base
 
-        cold = Tenant("cold", RePaGerService(
+        cold = RePaGerService(
             store, search_engine=scholar_engine,
             pipeline_config=PipelineConfig(num_seeds=10), venues=venues, graph=citation_graph,
-        ))
-        warmed = cold.service_for("NEWST-W").pipeline
-        warmed.weight_builder.prime_edge_relevance(base.primed_edge_relevance)
-        warmed.prime_node_weights(tenant.service.pipeline.node_weights)
-        cold.ensure_base_primed()
-        assert cold.service.pipeline.weight_builder.primed_edge_relevance is (
-            base.primed_edge_relevance
         )
+        assert not cold.readiness()["edge_relevance_ready"]
+        cold.query_with_meta("image processing", use_cache=False, variant="NEWST-W")
+        readiness = cold.readiness()
+        assert readiness["node_weights_ready"] and readiness["edge_relevance_ready"]
+        assert cold.pipeline_for("NEWST-W").weight_builder is cold.pipeline.weight_builder
 
     def test_per_corpus_health_reports_readiness(self, app):
         health = app.health("main")
@@ -358,8 +361,6 @@ class TestRePaGerApp:
         """Two same-config tenants sharing one un-namespaced cache would serve
         each other's entries (the fingerprint encodes config, not corpus);
         attach_service must namespace them."""
-        from repro.serving import ResultCache
-
         shared = ResultCache(max_entries=16, ttl_seconds=60.0)
         with RePaGerApp(config=ServingConfig(port=0)) as fresh_app:
             for name in ("a", "b"):
@@ -374,3 +375,105 @@ class TestRePaGerApp:
                 fresh_app.attach_service(name, service)
             assert fresh_app.registry.get("a").service.cache_namespace == "a"
             assert fresh_app.registry.get("b").service.cache_namespace == "b"
+
+
+def _count_artifact_builds(monkeypatch) -> Counter:
+    """Count CSR snapshot, PageRank and relevance-map builds from now on."""
+    builds: Counter = Counter()
+    lock = threading.Lock()
+
+    def count(name, function):
+        def counted(*args, **kwargs):
+            with lock:
+                builds[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(IndexedGraph, "from_graph", count("csr", IndexedGraph.from_graph))
+    monkeypatch.setattr(
+        weights_module, "indexed_pagerank",
+        count("pagerank", weights_module.indexed_pagerank),
+    )
+    monkeypatch.setattr(
+        WeightedGraphBuilder, "_compute_edge_relevance",
+        count("relevance", WeightedGraphBuilder._compute_edge_relevance),
+    )
+    return builds
+
+
+class TestOneServicePerTenant:
+    """A tenant's Table III variants are pipelines of its one service: they
+    answer on the tenant's TTL and read the corpus artifacts it built."""
+
+    def test_variant_answers_expire_on_the_tenant_ttl(self, store, tmp_path):
+        clock = SimpleNamespace(now=1000.0)
+        cache = ResultCache(max_entries=16, ttl_seconds=300.0, clock=lambda: clock.now)
+        config = ServingConfig(port=0, cache_state_path=str(tmp_path / "l2.sqlite"))
+        with RePaGerApp(
+            config=config, cache=cache, pipeline_config=PipelineConfig(num_seeds=10)
+        ) as ttl_app:
+            ttl_app._cache_store._clock = lambda: clock.now
+            ttl_app.attach_store(
+                "short", store,
+                overrides=TenantOverrides.from_dict({"cache_ttl_seconds": 5}),
+            )
+            body = {"query": "image processing", "variant": "NEWST-W"}
+            assert not ttl_app.query(body, corpus="short").cached
+            assert ttl_app.query(body, corpus="short").cached
+            rows = ttl_app._cache_store._conn.execute(
+                "SELECT expires_at FROM cache_entries WHERE namespace = 'short'"
+            ).fetchall()
+            assert rows == [(clock.now + 5.0,)]  # the L2 row too
+            clock.now += 10.0
+            assert not ttl_app.query(body, corpus="short").cached
+
+    def test_cold_variant_query_builds_corpus_artifacts_once(self, store, monkeypatch):
+        builds = _count_artifact_builds(monkeypatch)
+        with RePaGerApp(
+            config=ServingConfig(port=0), pipeline_config=PipelineConfig(num_seeds=10)
+        ) as cold_app:
+            cold_app.attach_store("cold", store)
+            body = {"query": "image processing", "use_cache": False}
+            cold_app.query({**body, "variant": "NEWST-W"}, corpus="cold")
+            cold_app.query(body, corpus="cold")
+        assert builds == {"csr": 1, "pagerank": 1, "relevance": 1}
+
+    def test_concurrent_first_queries_share_one_pipeline_per_variant(
+        self, store, scholar_engine, citation_graph, venues, monkeypatch
+    ):
+        """Threads racing on a cold service build each variant pipeline once
+        and the corpus artifacts once, with a short switch interval."""
+        builds = _count_artifact_builds(monkeypatch)
+        service = RePaGerService(
+            store, search_engine=scholar_engine,
+            pipeline_config=PipelineConfig(num_seeds=10), venues=venues, graph=citation_graph,
+        )
+        variants = [None, "NEWST-W", "newst-n", "NEWST-E"] * 2
+        barrier = threading.Barrier(len(variants))
+        seen: list = [None] * len(variants)
+
+        def run(index):
+            barrier.wait(timeout=30)
+            pipeline = service.pipeline_for(variants[index])
+            pipeline.solve_costs
+            seen[index] = pipeline
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=run, args=(index,))
+                for index in range(len(variants))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        half = len(variants) // 2
+        assert seen[:half] == seen[half:]  # one pipeline per variant
+        assert len({id(pipeline) for pipeline in seen}) == half
+        assert service.variants_loaded() == ("NEWST-E", "NEWST-N", "NEWST-W")
+        assert builds == {"csr": 1, "pagerank": 1, "relevance": 1}

@@ -14,7 +14,6 @@ from repro.errors import PipelineError
 from repro.graph.citation_graph import CitationGraph
 from repro.graph.indexed import IndexedGraph
 from repro.graph.steiner import node_edge_weighted_steiner_tree
-from repro.repager.app import Tenant
 from repro.repager.service import RePaGerService
 from repro.serving.warmup import warm_up
 
@@ -85,14 +84,15 @@ class TestPipelineGeneration:
         """A warmed solve copies nothing out of the corpus: no Table III
         variant's ``generate`` induces a dict subgraph, snapshots a graph or
         binds costs — each query is a mask over the per-corpus snapshot."""
-        base = RePaGerService(
+        service = RePaGerService(
             store, search_engine=scholar_engine,
             pipeline_config=PipelineConfig(num_seeds=10), venues=venues, graph=citation_graph,
         )
-        tenant = Tenant("main", base)
-        services = [tenant.service_for(variant) for variant in VARIANT_CONFIGS]
-        for service in services:
-            warm_up(service)
+        warm_up(service)
+        pipelines = [service.pipeline_for(variant) for variant in VARIANT_CONFIGS]
+        for pipeline in pipelines:
+            assert pipeline.weight_builder is service.pipeline.weight_builder
+            pipeline.solve_costs  # each variant binds its own costs once
 
         def copy(*args, **kwargs):
             raise AssertionError("generate copied the corpus graph")
@@ -100,8 +100,8 @@ class TestPipelineGeneration:
         monkeypatch.setattr(CitationGraph, "subgraph", copy)
         monkeypatch.setattr(IndexedGraph, "from_graph", copy)
         monkeypatch.setattr(IndexedGraph, "bind_costs", copy)
-        for service in services:
-            assert service.pipeline.generate("information retrieval").reading_path.papers
+        for pipeline in pipelines:
+            assert pipeline.generate("information retrieval").reading_path.papers
 
 
 def _unmasked_steiner_tree(*args, blocked=None, **kwargs):
@@ -127,8 +127,9 @@ class TestCandidateMask:
         query, year, survey_id,
     ):
         def generate():
-            fresh = RePaGerPipeline(store, scholar_engine, graph=citation_graph)
-            fresh.prime_node_weights(pipeline.node_weights)
+            fresh = RePaGerPipeline(
+                store, scholar_engine, weight_builder=pipeline.weight_builder
+            )
             return fresh.generate(query, year_cutoff=year, exclude_ids=(survey_id,))
 
         def leaked(papers):

@@ -52,7 +52,15 @@ class StubService:
     def readiness(self):
         return {"stub_ready": True}
 
-    def query_with_meta(self, text, year_cutoff=None, exclude_ids=(), use_cache=True):
+    def pipeline_for(self, variant=None):
+        return self.pipeline
+
+    def variants_loaded(self):
+        return ()
+
+    def query_with_meta(
+        self, text, year_cutoff=None, exclude_ids=(), use_cache=True, variant=None
+    ):
         with self._call_lock:
             self.calls.append(text)
         if self.log is not None:

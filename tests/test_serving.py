@@ -292,9 +292,9 @@ class TestWarmup:
             venues=venues,
             graph=citation_graph,
         )
-        assert service.pipeline._node_weights is None
+        assert not service.readiness()["node_weights_ready"]
         warm_up(service)
-        assert service.pipeline._node_weights is not None
+        assert service.readiness()["node_weights_ready"]
 
     def test_snapshot_roundtrip_and_restore(self, serving_service, store,
                                             scholar_engine, citation_graph,

@@ -25,6 +25,7 @@ from repro.config import CorpusConfig, PipelineConfig, ServingConfig
 from repro.corpus.generator import CorpusGenerator
 from repro.corpus.storage import CorpusStore
 from repro.errors import ServingError
+from repro.graph.indexed import IndexedGraph
 from repro.repager.app import RePaGerApp
 from repro.repager.service import RePaGerService
 from repro.serving import warm_up
@@ -237,33 +238,34 @@ def test_broken_snapshot_falls_back_to_cold_reattach(app, control):
 
 
 def test_variant_survives_eviction_round_trip_byte_identical(app, control):
-    """Warm variants come back warm: eviction records the live variant labels
-    and re-attach rebuilds them primed from the restored base artifacts."""
+    """A variant answers byte-identically after an eviction round trip.  The
+    re-attached tenant lists only the variants queried since: a variant
+    pipeline is built on its first query and reads the restored builder."""
     if "beta" not in app.registry:
         app.query({"query": "machine learning", "use_cache": False}, corpus="beta")
     before = app.query(
         {"query": "machine learning", "use_cache": False, "variant": "NEWST-W"},
         corpus="beta",
     )
-    assert app.registry.get("beta").variants_loaded() == ("NEWST-W",)
+    assert app.registry.get("beta").service.variants_loaded() == ("NEWST-W",)
 
     record = app.evict("beta")
-    assert record.variants == ("NEWST-W",)
     assert record.snapshot_path is not None
 
-    # Re-attach through a *base* query — the variant must not need its own
-    # traffic to come back primed.
+    # Re-attach through a *base* query: the restored builder is warm, and no
+    # variant pipeline exists until a variant is queried.
     app.query({"query": "machine learning", "use_cache": False}, corpus="beta")
-    tenant = app.registry.get("beta")
-    assert tenant.variants_loaded() == ("NEWST-W",)
-    variant_service = tenant.service_for("NEWST-W")
-    assert variant_service.pipeline.primed_node_weights is not None
+    service = app.registry.get("beta").service
+    assert service.variants_loaded() == ()
+    assert all(service.readiness().values())
 
     after = app.query(
         {"query": "machine learning", "use_cache": False, "variant": "NEWST-W"},
         corpus="beta",
     )
     assert canonical_bytes(before.payload) == canonical_bytes(after.payload)
+    assert service.variants_loaded() == ("NEWST-W",)
+    assert service.pipeline_for("NEWST-W").weight_builder is service.pipeline.weight_builder
     # The base pipeline still matches the never-evicted control.
     base = app.query(
         {"query": "machine learning", "use_cache": False}, corpus="beta"
@@ -272,17 +274,17 @@ def test_variant_survives_eviction_round_trip_byte_identical(app, control):
 
 
 def test_variant_only_traffic_still_captures_eviction_snapshot(app, control):
-    """A tenant whose only traffic targeted a variant has warm artifacts on
-    the variant pipeline; eviction must pull them back to the base and
-    snapshot them instead of evicting 'cold' and recomputing on re-attach."""
+    """A tenant whose only traffic targeted a variant has warmed the one
+    builder its base pipeline reads too, so eviction snapshots those
+    artifacts instead of evicting 'cold' and recomputing on re-attach."""
     name = app.registry.names()[0]
-    tenant = app.registry.get(name)
-    assert tenant.service.pipeline.primed_node_weights is None  # base is cold
+    service = app.registry.get(name).service
+    assert not service.readiness()["node_weights_ready"]  # cold
     before = app.query(
         {"query": "deep learning", "use_cache": False, "variant": "NEWST-W"},
         corpus=name,
     )
-    assert tenant.service.pipeline.primed_node_weights is None  # still cold
+    assert service.readiness()["node_weights_ready"]  # warm for the base too
 
     record = app.evict(name)
     assert record.snapshot_path is not None, (
@@ -311,3 +313,26 @@ def test_detaching_an_evicted_tenant_removes_it_for_good(app):
 
     with pytest.raises(CorpusNotFoundError):
         app.query("machine learning", corpus="gamma")
+
+
+def test_reattached_tenant_builds_one_csr_snapshot(app, monkeypatch):
+    """After a re-attach, the base and variant pipelines share the one CSR
+    snapshot the restored builder builds."""
+    name = app.registry.names()[0]
+    app.query({"query": "deep learning", "variant": "NEWST-W"}, corpus=name)
+    app.evict(name)
+
+    builds = []
+    from_graph = IndexedGraph.from_graph
+
+    def counted(graph):
+        builds.append(graph)
+        return from_graph(graph)
+
+    monkeypatch.setattr(IndexedGraph, "from_graph", counted)
+    app.query({"query": "deep learning", "use_cache": False}, corpus=name)
+    app.query(
+        {"query": "deep learning", "use_cache": False, "variant": "NEWST-W"},
+        corpus=name,
+    )
+    assert len(builds) == 1

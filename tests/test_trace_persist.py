@@ -134,7 +134,15 @@ class StubService:
         self.cache_ttl_seconds = None
         self.pipeline = SimpleNamespace(config_fingerprint="stub-fingerprint")
 
-    def query_with_meta(self, text, year_cutoff=None, exclude_ids=(), use_cache=True):
+    def pipeline_for(self, variant=None):
+        return self.pipeline
+
+    def variants_loaded(self):
+        return ()
+
+    def query_with_meta(
+        self, text, year_cutoff=None, exclude_ids=(), use_cache=True, variant=None
+    ):
         return {"query": text}, False
 
 

@@ -16,6 +16,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 from urllib.parse import urlsplit
 
 import pytest
@@ -23,7 +24,7 @@ import pytest
 from cluster_harness import ClusterFixture, corpus_snapshot, make_replica
 from repro.cluster import CorpusSpec, RouterApp
 from repro.serving.http_api import RePaGerHTTPServer, start_in_background
-from repro.serving.transport import UpstreamPool
+from repro.serving.transport import JSONHandler, UpstreamPool
 
 #: The router's and a default replica's request-body cap.
 BODY_LIMIT = 1 << 20
@@ -290,3 +291,53 @@ def test_killed_replica_never_answers_on_an_open_keep_alive_connection():
             connection.close()
     finally:
         replica.app.close(wait=False)
+
+
+@pytest.mark.parametrize("method", ["PUT", "PATCH", "OPTIONS", "HEAD"])
+@pytest.mark.parametrize("role", ["replica", "router"])
+def test_a_method_without_a_handler_gets_a_taxonomy_501(cluster, role, method):
+    response, payload = _raw_exchange(
+        _server(cluster, role).url, method, "/v1/corpora", {"Content-Length": "0"}
+    )
+    assert response.status == 501
+    assert response.getheader("Content-Type") == "application/json"
+    assert response.getheader("X-Request-Id")
+    assert response.getheader("Connection") == "close"
+    if method == "HEAD":
+        assert payload == b""
+    else:
+        doc = json.loads(payload)
+        assert (doc["code"], doc["http_status"]) == ("not_implemented", 501)
+        assert method in doc["detail"]
+
+
+def _handler_threads() -> int:
+    return sum(
+        thread.name.endswith("(process_request_thread)")
+        for thread in threading.enumerate()
+    )
+
+
+def _poll(condition, deadline_seconds: float = 30.0) -> bool:
+    deadline = time.monotonic() + deadline_seconds
+    while time.monotonic() < deadline:
+        if condition():
+            return True
+        time.sleep(0.01)
+    return condition()
+
+
+@pytest.mark.parametrize("role", ["replica", "router"])
+def test_an_idle_keep_alive_connection_is_closed(cluster, monkeypatch, role):
+    assert JSONHandler.timeout is not None  # shipped: idle sockets are closed
+    monkeypatch.setattr(JSONHandler, "timeout", 0.2)
+    baseline = _handler_threads()
+    address = _address(_server(cluster, role).url)
+    sockets = [socket.create_connection(address, timeout=10) for _ in range(10)]
+    try:
+        for sock in sockets:
+            assert sock.recv(1) == b""  # EOF: the server closed it
+        assert _poll(lambda: _handler_threads() <= baseline)
+    finally:
+        for sock in sockets:
+            sock.close()
