@@ -110,7 +110,6 @@ def test_concurrent_batch_throughput(serving_service):
         serving_service,
         max_workers=8,
         queue_depth=8,
-        timeout_seconds=300.0,
         metrics=serving_service.metrics,
     ) as executor:
         batch_started = time.perf_counter()

@@ -76,7 +76,7 @@ def main() -> None:
 
     # 3. Concurrent batch execution: 8 overlapping queries, 4 workers.
     with BatchExecutor.from_service(
-        service, max_workers=4, queue_depth=8, timeout_seconds=120.0, metrics=metrics
+        service, max_workers=4, queue_depth=8, metrics=metrics
     ) as executor:
         outcomes = executor.run_batch([QueryRequest(q) for q in QUERIES * 2])
     print(f"Batch of {len(outcomes)} queries: "

@@ -298,18 +298,15 @@ class TenantOverrides:
     Attributes:
         cache_ttl_seconds: Freshness bound of this tenant's entries in the
             shared result cache.
-        query_timeout_seconds: Per-query deadline for this tenant's requests.
+        query_timeout_seconds: This tenant's time budget per request (see
+            :attr:`ServingConfig.query_timeout_seconds`, which ``None``
+            inherits).
         quota: Admission policy (see :class:`TenantQuota`).
         weight: Fair-share weight of this tenant in the executor's deficit-
             round-robin dispatcher: a weight-``W`` tenant is dispatched ``W``
             requests per scheduling round for every one request of a
             weight-1 tenant.  Weights shape *priority* under contention;
             quotas shape *admission* — the two compose.
-        deadline_seconds: Default end-to-end deadline applied to this
-            tenant's requests when the client does not send its own
-            ``X-Request-Deadline`` — the budget covers queueing *and*
-            solving, and an over-budget request is shed before it consumes a
-            worker.
         trace_sample_rate: Fraction of this tenant's successful fast queries
             whose traces are retained in the ring buffer (slow and failed
             queries are always kept).  ``None`` inherits
@@ -320,7 +317,6 @@ class TenantOverrides:
     query_timeout_seconds: float | None = None
     quota: TenantQuota | None = None
     weight: int = 1
-    deadline_seconds: float | None = None
     trace_sample_rate: float | None = None
 
     _FIELDS = (
@@ -328,7 +324,6 @@ class TenantOverrides:
         "query_timeout_seconds",
         "quota",
         "weight",
-        "deadline_seconds",
         "trace_sample_rate",
     )
 
@@ -341,8 +336,6 @@ class TenantOverrides:
             raise ConfigurationError("weight must be an integer")
         if self.weight < 1:
             raise ConfigurationError("weight must be >= 1")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ConfigurationError("deadline_seconds must be positive or None")
         if self.trace_sample_rate is not None and not (
             0.0 <= self.trace_sample_rate <= 1.0
         ):
@@ -355,7 +348,6 @@ class TenantOverrides:
         for key in (
             "cache_ttl_seconds",
             "query_timeout_seconds",
-            "deadline_seconds",
             "trace_sample_rate",
         ):
             value = payload.get(key)
@@ -375,14 +367,12 @@ class TenantOverrides:
             raise RequestValidationError("'weight' must be >= 1")
         ttl = payload.get("cache_ttl_seconds")
         timeout = payload.get("query_timeout_seconds")
-        deadline = payload.get("deadline_seconds")
         sample_rate = payload.get("trace_sample_rate")
         return cls(
             cache_ttl_seconds=float(ttl) if ttl is not None else None,
             query_timeout_seconds=float(timeout) if timeout is not None else None,
             quota=TenantQuota.from_dict(quota) if quota is not None else None,
             weight=weight,
-            deadline_seconds=float(deadline) if deadline is not None else None,
             trace_sample_rate=(
                 float(sample_rate) if sample_rate is not None else None
             ),
@@ -394,7 +384,6 @@ class TenantOverrides:
             "query_timeout_seconds": self.query_timeout_seconds,
             "quota": self.quota.to_dict() if self.quota is not None else None,
             "weight": self.weight,
-            "deadline_seconds": self.deadline_seconds,
             "trace_sample_rate": self.trace_sample_rate,
         }
 
@@ -466,7 +455,9 @@ class ServingConfig:
             before the executor starts rejecting with HTTP 429.
         cache_max_entries / cache_ttl_seconds: Size and freshness bounds of
             the LRU+TTL query-result cache.
-        query_timeout_seconds: Per-query deadline enforced by the executor.
+        query_timeout_seconds: Time budget of one request: it becomes the
+            request's deadline at ingress (unless the client's is earlier),
+            and a solve past it stops and answers 504 ``timeout``.
         max_latency_samples: Reservoir size of each latency histogram.
         max_body_bytes: Upper bound on an HTTP request body; larger bodies
             are rejected with 413 instead of being buffered.

@@ -171,7 +171,7 @@ class TenantQuotaExceededError(ServingError):
 
 
 class QueryTimeoutError(ServingError):
-    """A query did not complete within the configured per-query timeout."""
+    """A query ran past its tenant's ``query_timeout_seconds`` budget."""
 
     code = "timeout"
     http_status = 504
@@ -187,10 +187,11 @@ class QueryTimeoutError(ServingError):
 class DeadlineExceededError(ServingError):
     """A request ran past its end-to-end deadline and was shed.
 
-    Distinct from :class:`QueryTimeoutError` (the caller stopped waiting):
-    the *deadline* travels with the request, so the scheduler can shed it
+    The deadline travels with the request, so the scheduler can shed it
     before a worker is consumed and the solve loop can abort cooperatively
-    mid-stage.  ``stage`` names where the budget ran out.
+    mid-stage.  ``stage`` names where the budget ran out.  The application
+    layer answers :class:`QueryTimeoutError` instead when the tenant's
+    timeout, not the client's ``X-Request-Deadline``, set the deadline.
     """
 
     code = "deadline_exceeded"

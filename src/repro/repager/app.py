@@ -16,8 +16,8 @@ module is that layer:
   machine-readable taxonomy of :mod:`repro.errors` (``code``, ``http_status``,
   ``detail``);
 * one **bounded executor is shared across tenants**, so admission control and
-  per-query deadlines bound the whole process no matter how many corpora are
-  attached;
+  per-request deadlines bound the whole process no matter how many corpora
+  are attached;
 * **per-tenant fairness and lifecycle**: each tenant may carry
   :class:`~repro.config.TenantOverrides` (cache TTL, query timeout, a
   :class:`~repro.config.TenantQuota` admission policy) resolved at attach
@@ -54,6 +54,7 @@ from ..errors import (
     CorpusNotFoundError,
     DeadlineExceededError,
     DuplicateCorpusError,
+    QueryTimeoutError,
     ReproError,
     RequestValidationError,
     ServingError,
@@ -653,7 +654,6 @@ class RePaGerApp:
             self,
             max_workers=self.config.max_workers,
             queue_depth=self.config.queue_depth,
-            timeout_seconds=self.config.query_timeout_seconds,
             metrics=self.metrics,
             hang_seconds=self.config.worker_hang_seconds,
             quota_store=self._quota_store,
@@ -706,8 +706,9 @@ class RePaGerApp:
         not the corpus).
 
         ``overrides`` is resolved here, at attach time: the cache-TTL
-        override lands on the service, and the quota/timeout overrides are
-        installed into the shared executor under this tenant's namespace.
+        override lands on the service, and the quota and weight overrides
+        are installed into the shared executor under this tenant's
+        namespace.
 
         ``lifecycle_event`` names the event-log entry the attach emits
         (``None`` suppresses it — the re-attach path emits its own
@@ -731,9 +732,6 @@ class RePaGerApp:
         self.executor.configure_tenant(
             name,
             quota=overrides.quota if overrides is not None else None,
-            timeout_seconds=(
-                overrides.query_timeout_seconds if overrides is not None else None
-            ),
             metrics=service.metrics,
             weight=overrides.weight if overrides is not None else 1,
         )
@@ -1030,14 +1028,16 @@ class RePaGerApp:
         (validated strictly) or a bare query string.  ``corpus`` selects the
         tenant (``None`` = default).  ``request_id`` correlates the trace
         with a caller-supplied id (the HTTP layer's ``X-Request-Id``); when
-        omitted the trace id doubles as the request id.  ``deadline`` is an
-        absolute ``time.monotonic()`` instant (the HTTP layer derives it from
-        ``X-Request-Deadline``); when omitted, the tenant's
-        ``deadline_seconds`` override applies.
+        omitted the trace id doubles as the request id.  ``deadline`` is the
+        client's absolute ``time.monotonic()`` deadline (the HTTP layer
+        derives it from ``X-Request-Deadline``).  The request's one time
+        budget is the earlier of it and now + the tenant's
+        ``query_timeout_seconds``; admission, the scheduler, the solve's
+        checkpoints and every retry share it.
 
         The resilience ladder wraps the solve: an open per-tenant circuit
         rejects up front (503 + ``Retry-After``); retryable failures are
-        retried with jittered exponential backoff inside the deadline; a
+        retried with jittered exponential backoff inside the budget; a
         server-side failure falls back to a stale-but-marked cache entry
         within the grace window before the error is surfaced.
 
@@ -1054,12 +1054,14 @@ class RePaGerApp:
             options = QueryOptions.from_dict(options)
         tenant = self._resolve_tenant(corpus)
         overrides = tenant.overrides
-        if (
-            deadline is None
-            and overrides is not None
-            and overrides.deadline_seconds is not None
-        ):
-            deadline = time.monotonic() + overrides.deadline_seconds
+        timeout = self.config.query_timeout_seconds
+        if overrides is not None and overrides.query_timeout_seconds is not None:
+            timeout = overrides.query_timeout_seconds
+        budget = time.monotonic() + timeout
+        if deadline is not None and deadline < budget:
+            timeout = None  # the client's deadline binds, not the tenant's
+        else:
+            deadline = budget
         # Validate/build the request *before* circuit admission: once check()
         # admits a half-open probe, every exit path must reach
         # _record_outcome or the probe slot would leak and wedge the breaker.
@@ -1082,7 +1084,7 @@ class RePaGerApp:
             if trace is not None:
                 trace.tags["query"] = options.query
             try:
-                response = self._run_with_retry(tenant, request, deadline)
+                response = self._run_with_retry(tenant, request, timeout)
             except BaseException as exc:
                 self._record_outcome(tenant, breaker, exc)
                 if not isinstance(exc, Exception):
@@ -1146,27 +1148,34 @@ class RePaGerApp:
         return tenant.service.metrics or self.metrics
 
     def _run_with_retry(
-        self, tenant: Tenant, request: QueryRequest, deadline: float | None
+        self, tenant: Tenant, request: QueryRequest, timeout: float | None
     ) -> QueryResponse:
         """Run one request, retrying *retryable* taxonomy errors.
 
         ``retry_attempts`` counts *retries*, so total attempts are
         ``retry_attempts + 1`` and 0 disables retrying entirely.  Backoff is
         exponential with multiplicative jitter; a retry that could not finish
-        before the deadline is not attempted — the original error surfaces
-        instead of a guaranteed second failure.
+        before ``request.deadline`` is not attempted — the original error
+        surfaces instead of a guaranteed second failure.  ``timeout`` is set
+        when the tenant's timeout fixed the deadline: its expiry then
+        answers :class:`~repro.errors.QueryTimeoutError`.
         """
         attempts = 1 + self.config.retry_attempts
         attempt = 1
         while True:
             try:
                 return self.executor.run_one(request)
+            except DeadlineExceededError:
+                if timeout is None:
+                    raise
+                self.metrics.increment("executor_timeouts_total")
+                raise QueryTimeoutError(request.text, timeout) from None
             except ReproError as exc:
                 if not exc.retryable or attempt >= attempts:
                     raise
                 backoff = self.config.retry_backoff_seconds * (2 ** (attempt - 1))
                 backoff *= 0.5 + random.random()  # jitter in [0.5x, 1.5x)
-                if deadline is not None and time.monotonic() + backoff >= deadline:
+                if time.monotonic() + backoff >= request.deadline:
                     raise
                 self._tenant_metrics(tenant).increment("retries_total")
                 time.sleep(backoff)

@@ -20,12 +20,7 @@ a stuck syscall.  This package gives every one of those failure modes a
 from __future__ import annotations
 
 from .circuit import CircuitBreaker
-from .deadline import (
-    active_deadline,
-    check_deadline,
-    deadline_scope,
-    remaining_seconds,
-)
+from .deadline import check_deadline, deadline_scope, remaining_seconds
 from .faults import (
     FaultPlan,
     FaultRule,
@@ -42,7 +37,6 @@ __all__ = [
     "CircuitBreaker",
     "FaultPlan",
     "FaultRule",
-    "active_deadline",
     "active_plan",
     "arm",
     "armed",

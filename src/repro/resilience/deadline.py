@@ -1,22 +1,22 @@
 """End-to-end request deadlines with cooperative solve-loop checkpoints.
 
-A per-query *timeout* (PR 1) bounds how long the caller waits, but the solve
-keeps burning a worker after the waiter has given up.  A *deadline* is the
-stronger contract: an absolute point on the monotonic clock, fixed at HTTP
-ingress (``X-Request-Deadline: <seconds>``) or from the tenant's
-``TenantOverrides.deadline_seconds``, carried with the request through the
+A request's deadline is its one time budget: an absolute point on the
+monotonic clock, fixed at ingress to the earlier of the client's
+``X-Request-Deadline: <seconds>`` and now + the tenant's
+``query_timeout_seconds``, and carried with the request through the
 scheduler queue and into the worker thread.
 
 Enforcement happens at three places, each strictly cheaper than the work it
 avoids:
 
-1. The scheduler sheds a request whose deadline already passed *before*
-   handing it to a worker (it spent its budget queueing).
+1. Admission and the scheduler shed a request whose deadline already passed
+   *before* handing it to a worker (it spent its budget queueing).
 2. :func:`deadline_scope` publishes the deadline on a context variable for
    the duration of the handler call, and :func:`check_deadline` — called at
    stage boundaries in the pipeline and inside the metric-closure loop —
-   aborts the solve cooperatively once the budget is gone.
-3. The result wait clamps its timeout to the remaining budget.
+   aborts the solve cooperatively once the budget is gone, so it frees its
+   worker.
+3. The caller's result wait ends when the budget does.
 
 When no deadline is set, :func:`check_deadline` is one ContextVar read and a
 ``None`` comparison — safe to call from the hot loop.
@@ -32,7 +32,6 @@ from typing import Iterator
 from ..errors import DeadlineExceededError
 
 __all__ = [
-    "active_deadline",
     "check_deadline",
     "deadline_scope",
     "remaining_seconds",
@@ -41,11 +40,6 @@ __all__ = [
 #: Absolute ``time.monotonic()`` deadline of the request being solved on this
 #: thread/context, or ``None`` when the request is unbounded.
 _DEADLINE: ContextVar[float | None] = ContextVar("repro_request_deadline", default=None)
-
-
-def active_deadline() -> float | None:
-    """The absolute monotonic deadline in effect, or ``None``."""
-    return _DEADLINE.get()
 
 
 def remaining_seconds(deadline: float | None = None) -> float | None:

@@ -10,7 +10,7 @@ library:
 * :mod:`repro.serving.warmup` — eager precomputation of shared per-corpus
   artifacts plus a serialisable :class:`ArtifactSnapshot`;
 * :mod:`repro.serving.executor` — thread-pool batch executor with a bounded
-  queue, per-query timeouts and graceful overload rejection;
+  queue, per-request deadlines and graceful overload rejection;
 * :mod:`repro.serving.coalesce` — the in-flight coalescer the executor and
   the cluster router share;
 * :mod:`repro.serving.http_api` — ``http.server``-based JSON API

@@ -12,8 +12,10 @@ thread pool lacks:
   admitted; beyond that :meth:`BatchExecutor.submit` raises
   :class:`~repro.errors.ExecutorOverloadedError` so overload turns into fast
   HTTP 429 rejections instead of unbounded memory growth;
-* a **per-query timeout** — callers waiting on a result give up after
-  ``timeout_seconds`` and record a :class:`~repro.errors.QueryTimeoutError`;
+* **one time budget** — each request carries its own ``deadline``, the only
+  bound the executor knows: admission and the scheduler shed an expired
+  request, the solve's checkpoints stop it, and the caller's wait ends with
+  :class:`~repro.errors.DeadlineExceededError`;
 * **graceful batch semantics** — :meth:`BatchExecutor.run_batch` applies
   backpressure (blocking admission) instead of rejecting, and returns one
   :class:`BatchOutcome` per request with either a payload or an error, never
@@ -56,7 +58,6 @@ from ..cluster.state import InMemoryQuotaStore, QuotaStore
 from ..errors import (
     DeadlineExceededError,
     ExecutorOverloadedError,
-    QueryTimeoutError,
     RequestValidationError,
     TenantQuotaExceededError,
     UnknownFieldsError,
@@ -141,9 +142,9 @@ class QueryRequest:
     corpus: str | None = None
     variant: str | None = None
     debug: bool = False
-    #: Absolute ``time.monotonic()`` end-to-end deadline, fixed at ingress.
-    #: ``None`` means unbounded.  The scheduler sheds an expired request
-    #: before it reaches a worker, and the solve loop checks it cooperatively.
+    #: Absolute ``time.monotonic()`` end-to-end deadline, fixed at ingress:
+    #: the request's only time budget (``None`` = unbounded).  The scheduler
+    #: sheds an expired request, and the solve loop checks it cooperatively.
     deadline: float | None = None
 
     _FIELDS = ("query", "year_cutoff", "exclude_ids", "use_cache", "debug")
@@ -162,6 +163,12 @@ class QueryRequest:
             use_cache=body["use_cache"],
             debug=debug,
         )
+
+
+def _expired(request: QueryRequest) -> bool:
+    """Whether ``request``'s deadline has passed."""
+    remaining = remaining_seconds(request.deadline)
+    return remaining is not None and remaining <= 0
 
 
 @dataclass(slots=True)
@@ -197,7 +204,6 @@ class _TenantState:
     __slots__ = (
         "namespace",
         "quota",
-        "timeout_seconds",
         "metrics",
         "weight",
         "admitted",
@@ -210,7 +216,6 @@ class _TenantState:
     def __init__(self, namespace: str = "") -> None:
         self.namespace = namespace
         self.quota: "TenantQuota | None" = None
-        self.timeout_seconds: float | None = None
         self.metrics: "MetricsRegistry | None" = None
         self.weight = 1
         self.admitted = 0
@@ -242,9 +247,8 @@ class BatchExecutor:
             :meth:`from_service` to wrap a :class:`RePaGerService`.
         max_workers: Concurrent worker threads.
         queue_depth: Admitted-but-waiting queries allowed beyond the workers.
-        timeout_seconds: Per-query deadline (``None`` disables timeouts).
         metrics: Optional :class:`MetricsRegistry` receiving executor counters
-            (submitted/completed/errors/rejected/timeouts/coalesced), the
+            (submitted/completed/errors/rejected/deadline sheds/coalesced), the
             queue-wait and scheduler-wait histograms, the in-flight gauge and
             the scheduler queue-depth gauge.
         clock: Monotonic time source for token-bucket quotas (injectable for
@@ -275,7 +279,6 @@ class BatchExecutor:
         handler: Callable[[QueryRequest], Any],
         max_workers: int = 4,
         queue_depth: int = 16,
-        timeout_seconds: float | None = None,
         metrics: "MetricsRegistry | None" = None,
         clock: Callable[[], float] = time.monotonic,
         events: "EventLog | None" = None,
@@ -288,14 +291,11 @@ class BatchExecutor:
             raise ValueError("max_workers must be >= 1")
         if queue_depth < 0:
             raise ValueError("queue_depth must be non-negative")
-        if timeout_seconds is not None and timeout_seconds <= 0:
-            raise ValueError("timeout_seconds must be positive or None")
         if hang_seconds is not None and hang_seconds <= 0:
             raise ValueError("hang_seconds must be positive or None")
         self.handler = handler
         self.max_workers = max_workers
         self.queue_depth = queue_depth
-        self.timeout_seconds = timeout_seconds
         self.hang_seconds = hang_seconds
         self.metrics = metrics
         self.events = events
@@ -358,7 +358,6 @@ class BatchExecutor:
         service: Any,
         max_workers: int = 4,
         queue_depth: int = 16,
-        timeout_seconds: float | None = None,
         metrics: "MetricsRegistry | None" = None,
     ) -> "BatchExecutor":
         """Executor whose handler is ``service.query`` (cache-aware).
@@ -381,7 +380,6 @@ class BatchExecutor:
             handler,
             max_workers=max_workers,
             queue_depth=queue_depth,
-            timeout_seconds=timeout_seconds,
             metrics=metrics,
         )
 
@@ -391,7 +389,6 @@ class BatchExecutor:
         app: Any,
         max_workers: int = 4,
         queue_depth: int = 16,
-        timeout_seconds: float | None = None,
         metrics: "MetricsRegistry | None" = None,
         hang_seconds: float | None = None,
         quota_store: QuotaStore | None = None,
@@ -409,7 +406,6 @@ class BatchExecutor:
             app.handle_request,
             max_workers=max_workers,
             queue_depth=queue_depth,
-            timeout_seconds=timeout_seconds,
             metrics=metrics,
             events=getattr(app, "events", None),
             key_for=getattr(app, "coalesce_key", None),
@@ -423,11 +419,10 @@ class BatchExecutor:
         self,
         namespace: str,
         quota: "TenantQuota | None" = None,
-        timeout_seconds: float | None = None,
         metrics: "MetricsRegistry | None" = None,
         weight: int = 1,
     ) -> None:
-        """Install (or replace) one namespace's quota, timeout, metrics, weight.
+        """Install (or replace) one namespace's quota, metrics and weight.
 
         ``namespace`` is matched against each request's ``corpus`` field.  The
         accounting counters survive reconfiguration, so re-attaching an
@@ -444,7 +439,6 @@ class BatchExecutor:
             if state is None:
                 state = self._tenants[namespace] = _TenantState(namespace)
             state.quota = quota
-            state.timeout_seconds = timeout_seconds
             state.metrics = metrics
             state.weight = weight
             if quota is not None and quota.rate_per_second is not None:
@@ -611,7 +605,7 @@ class BatchExecutor:
     ) -> Future:
         """Chain a duplicate request onto an identical in-flight solve.
 
-        The waiter gets its own future (its caller keeps per-tenant timeout
+        The waiter gets its own future (its caller keeps its own deadline
         and error accounting), resolved from the leader's outcome.  The
         waiter holds no worker or queue slot — only its tenant admission
         charge, released when the shared solve completes.
@@ -662,7 +656,9 @@ class BatchExecutor:
         """
         if self._shutdown:
             raise RuntimeError("executor has been shut down")
-        self._shed_if_expired(request, "admission")
+        if _expired(request):
+            self._count("deadline_shed_total")
+            raise DeadlineExceededError(stage="admission")
         with stage("quota_admission"):
             state = self._admit_tenant(request)
         future, runs = self._join(request, state)
@@ -807,13 +803,6 @@ class BatchExecutor:
                 # thread holds its seat — exit instead of double-staffing.
                 return
 
-    def _shed_if_expired(self, request: QueryRequest, where: str) -> None:
-        """Fail fast when the request's end-to-end deadline has passed."""
-        remaining = remaining_seconds(request.deadline)
-        if remaining is not None and remaining <= 0:
-            self._count("deadline_shed_total")
-            raise DeadlineExceededError(stage=where)
-
     def _dispatch(self, item: _WorkItem) -> None:
         dispatched = time.perf_counter()
         state = item.state
@@ -833,8 +822,9 @@ class BatchExecutor:
         try:
             # A request whose deadline expired while queueing is shed here —
             # cheaper than solving, and the worker moves straight on to work
-            # that can still meet its budget.
-            self._shed_if_expired(item.request, "scheduler")
+            # that can still meet its budget.  Its caller counts the shed.
+            if _expired(item.request):
+                raise DeadlineExceededError(stage="scheduler")
             result = self._run(
                 item.request, state, item.trace_ctx, item.enqueued, dispatched
             )
@@ -1002,42 +992,31 @@ class BatchExecutor:
 
     # -- completion --------------------------------------------------------------
 
-    def _timeout_for(self, request: QueryRequest) -> float | None:
-        """The request's deadline: its tenant's override or the shared default."""
-        with self._tenant_lock:
-            state = self._tenants.get(request.corpus or "")
-            if state is not None and state.timeout_seconds is not None:
-                return state.timeout_seconds
-        return self.timeout_seconds
-
     def result(self, request: QueryRequest, future: Future) -> Any:
-        """Wait for one admitted query, enforcing the per-query timeout.
+        """Wait for one admitted query until its deadline.
 
-        Every terminal outcome is counted here — completions, timeouts and
-        handler errors — so ``executor_errors_total`` covers the
-        ``run_one``/HTTP path, not just batches.
+        Every terminal outcome is counted here — completions, deadline sheds
+        and handler errors — so ``executor_errors_total`` covers the
+        ``run_one``/HTTP path, not just batches.  A shed counts once in
+        ``deadline_shed_total`` whichever thread noticed it: this wait, the
+        scheduler, or a checkpoint inside the solve.
 
         Raises:
-            QueryTimeoutError: The per-query timeout elapsed (the worker
-                keeps running in the background; its slot is released on
-                completion).
-            DeadlineExceededError: The request's end-to-end deadline was the
-                binding constraint instead of the timeout.
+            DeadlineExceededError: The request's deadline passed.  A wait
+                that runs out leaves the worker to stop at its next
+                checkpoint; its slot is released when it does.
         """
-        timeout = self._timeout_for(request)
-        deadline_bound = False
         remaining = remaining_seconds(request.deadline)
-        if remaining is not None and (timeout is None or remaining < timeout):
-            timeout = max(0.0, remaining)
-            deadline_bound = True
         try:
-            value = future.result(timeout=timeout)
+            value = future.result(
+                timeout=None if remaining is None else max(0.0, remaining)
+            )
         except FutureTimeoutError:
-            if deadline_bound:
-                self._count("deadline_shed_total")
-                raise DeadlineExceededError(stage="result_wait") from None
-            self._count("executor_timeouts_total")
-            raise QueryTimeoutError(request.text, timeout or 0.0) from None
+            self._count("deadline_shed_total")
+            raise DeadlineExceededError(stage="result_wait") from None
+        except DeadlineExceededError:
+            self._count("deadline_shed_total")
+            raise
         except Exception:
             self._count("executor_errors_total")
             raise
@@ -1057,8 +1036,8 @@ class BatchExecutor:
         Per-tenant quotas still apply and fail fast — blocking a whole batch
         on one tenant's spent quota would defeat the fairness policy — so an
         over-quota request becomes an error outcome instead of backpressure.
-        Failures and timeouts are captured per-request; the batch itself
-        never raises.
+        Failures and deadline sheds are captured per-request; the batch
+        itself never raises.
         """
         admitted: list[tuple[QueryRequest, Future | None, float, BatchOutcome]] = []
         for request in requests:
@@ -1088,11 +1067,6 @@ class BatchExecutor:
             if future is not None:
                 try:
                     outcome.payload = self.result(request, future)
-                except QueryTimeoutError as exc:
-                    taxonomy = error_payload(exc)
-                    outcome.error = str(exc)
-                    outcome.error_code = taxonomy["code"]
-                    outcome.error_status = taxonomy["http_status"]
                 except Exception as exc:  # noqa: BLE001 - batch reports, never raises
                     taxonomy = error_payload(exc)
                     outcome.error = f"{type(exc).__name__}: {exc}"

@@ -64,11 +64,15 @@ named corpora behind a versioned ``/v1`` surface:
 =========================================  ===================================
 
 Resilience semantics: queries accept an ``X-Request-Deadline: <seconds>``
-header (the remaining client budget; over-deadline requests are shed with 504
-before consuming a worker), degraded stale-cache responses carry a
-``Warning: 110`` header plus ``serving.degraded`` markers, and every 5xx or
-backpressure response carries a ``Retry-After`` derived from the live
-scheduler queue depth (or the circuit breaker's remaining cooldown).
+header (the remaining client budget).  A request's one time budget is the
+earlier of that and the tenant's ``query_timeout_seconds``; it is shed with
+504 before consuming a worker when it can be, and a solve that runs past it
+stops at its next checkpoint — ``deadline_exceeded`` when the client's
+deadline ran out, ``timeout`` when the tenant's did.  Degraded stale-cache
+responses carry a ``Warning: 110`` header plus ``serving.degraded`` markers,
+and every 5xx or backpressure response carries a ``Retry-After`` derived
+from the live scheduler queue depth (or the circuit breaker's remaining
+cooldown).
 
 Every response carries an ``X-Request-Id`` header — the caller's own header
 value when one was sent, a freshly minted id otherwise — and query responses
@@ -89,12 +93,12 @@ Failures are mapped through the shared error taxonomy of
 it was served with and a human-readable ``detail``.  Oversized request bodies
 are rejected with 413 before buffering (``ServingConfig.max_body_bytes``);
 executor overload and spent per-tenant quotas yield 429 with ``Retry-After``;
-per-query deadlines yield 504.
+an expired request budget yields 504.
 
 Requests are handled by the shared transport of
 :mod:`repro.serving.transport` (one thread per keep-alive connection, one
-write per response on a ``TCP_NODELAY`` socket); admission control and the
-per-query deadline come from the app's single bounded
+write per response on a ``TCP_NODELAY`` socket); admission control and
+deadline enforcement come from the app's single bounded
 :class:`~repro.serving.executor.BatchExecutor` shared across all tenants, so
 overload behaviour is identical for HTTP and programmatic batch clients.
 """

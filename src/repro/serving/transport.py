@@ -22,6 +22,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import sys
 import threading
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -82,6 +83,13 @@ class JSONServer(ThreadingHTTPServer):
         with self._connections_lock:
             self._connections.discard(request)
             super().shutdown_request(request)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A peer that resets or drops its connection mid-exchange is routine
+        # for a server; anything else keeps the stdlib's traceback report.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
 
     def server_close(self) -> None:
         super().server_close()

@@ -6,6 +6,7 @@ import json
 import threading
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.errors import (
     UnknownFieldsError,
 )
 from repro.graph.citation_graph import CitationGraph
+from repro.repager.app import RePaGerApp
 from repro.repager.service import RePaGerService
 from repro.search.scholar import GoogleScholarEngine
 from repro.serving import (
@@ -472,23 +474,40 @@ class TestBatchExecutor:
             executor.shutdown()
 
     def test_per_query_timeout(self):
+        """``query_timeout_seconds`` becomes the request's deadline; its
+        expiry answers ``QueryTimeoutError`` and counts one timeout."""
         release = threading.Event()
 
-        def handler(request: QueryRequest):
-            release.wait(timeout=10)
-            return request.text
+        class SlowService:
+            """Just what the app touches: a gated answer, no stale copy."""
 
-        metrics = MetricsRegistry()
-        executor = BatchExecutor(
-            handler, max_workers=1, timeout_seconds=0.05, metrics=metrics
+            metrics = None
+            cache = None
+            cache_namespace = ""
+            cache_ttl_seconds = None
+            pipeline = SimpleNamespace(config_fingerprint="slow")
+
+            def pipeline_for(self, variant=None):
+                return self.pipeline
+
+            def query_with_meta(self, text, **_options):
+                release.wait(timeout=10)
+                return {"query": text}, False
+
+            def stale_payload(self, text, **_options):
+                return None
+
+        app = RePaGerApp(
+            config=ServingConfig(max_workers=1, query_timeout_seconds=0.05)
         )
         try:
+            app.attach_service("main", SlowService(), default=True)
             with pytest.raises(QueryTimeoutError):
-                executor.run_one(QueryRequest("slow"))
-            assert metrics.counter("executor_timeouts_total") == 1
+                app.query("slow")
+            assert app.metrics.counter("executor_timeouts_total") == 1
         finally:
             release.set()
-            executor.shutdown()
+            app.close()
 
     def test_shutdown_rejects_new_work(self):
         executor = BatchExecutor(lambda request: request.text, max_workers=1)

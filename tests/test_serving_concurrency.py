@@ -57,8 +57,7 @@ def test_concurrent_matches_sequential(store, scholar_engine, citation_graph, ve
     service = build_service(store, scholar_engine, citation_graph, venues, with_cache)
     requests = [QueryRequest(query) for query in QUERIES * 2]  # 8 overlapping queries
     with BatchExecutor.from_service(
-        service, max_workers=8, queue_depth=8, timeout_seconds=120.0,
-        metrics=service.metrics,
+        service, max_workers=8, queue_depth=8, metrics=service.metrics,
     ) as executor:
         outcomes = executor.run_batch(requests)
 

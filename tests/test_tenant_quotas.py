@@ -65,6 +65,9 @@ class StubService:
             assert self.gate.wait(timeout=30.0), "test gate never opened"
         return {"query": text}, False
 
+    def stale_payload(self, text, **_options):
+        return None  # a timeout is a server failure: the app looks for one
+
 
 @pytest.fixture()
 def app():
@@ -252,22 +255,22 @@ class TestQuotaMechanics:
         finally:
             executor.shutdown(wait=True)
 
-    def test_per_tenant_timeout_override(self):
-        def handler(request):
-            if request.corpus == "slow":
-                time.sleep(0.5)
-            return "ok"
-
-        executor = BatchExecutor(handler, max_workers=2, timeout_seconds=30.0)
+    def test_per_tenant_timeout_override(self, app, gate):
+        """A tenant's ``query_timeout_seconds`` replaces the shared budget
+        for its requests only."""
+        app.attach_service(
+            "slow",
+            StubService(gate=gate),
+            overrides=TenantOverrides(query_timeout_seconds=0.05),
+        )
+        app.attach_service("fast", StubService())
         try:
-            executor.configure_tenant("slow", timeout_seconds=0.05)
-            started = time.perf_counter()
             with pytest.raises(QueryTimeoutError):
-                executor.run_one(QueryRequest(text="q", corpus="slow"))
-            assert time.perf_counter() - started < 5.0
-            assert executor.run_one(QueryRequest(text="q", corpus="fast")) == "ok"
+                app.query("q", corpus="slow")
+            assert app.metrics.counter("executor_timeouts_total") == 1
+            assert app.query("q", corpus="fast").payload == {"query": "q"}
         finally:
-            executor.shutdown(wait=True)
+            gate.set()
 
     def test_global_overload_releases_the_tenant_charge(self):
         gate = threading.Event()

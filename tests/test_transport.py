@@ -341,3 +341,19 @@ def test_an_idle_keep_alive_connection_is_closed(cluster, monkeypatch, role):
     finally:
         for sock in sockets:
             sock.close()
+
+
+@pytest.mark.parametrize("role", ["replica", "router"])
+def test_a_peer_reset_is_not_reported_as_an_error(cluster, capsys, role):
+    server = _server(cluster, role)
+    capsys.readouterr()
+    try:
+        raise ConnectionResetError(104, "Connection reset by peer")
+    except ConnectionResetError:
+        server.handle_error(None, ("127.0.0.1", 1))
+    assert capsys.readouterr().err == ""
+    try:
+        raise ValueError("a handler bug")
+    except ValueError:
+        server.handle_error(None, ("127.0.0.1", 1))
+    assert "ValueError: a handler bug" in capsys.readouterr().err
