@@ -1158,7 +1158,10 @@ class RePaGerApp:
         before ``request.deadline`` is not attempted — the original error
         surfaces instead of a guaranteed second failure.  ``timeout`` is set
         when the tenant's timeout fixed the deadline: its expiry then
-        answers :class:`~repro.errors.QueryTimeoutError`.
+        answers :class:`~repro.errors.QueryTimeoutError`.  ``run_one``
+        raises ``DeadlineExceededError`` only once *this* request's deadline
+        has passed (a coalesced waiter whose leader is shed first runs
+        again), so no request answers for another's budget.
         """
         attempts = 1 + self.config.retry_attempts
         attempt = 1

@@ -40,8 +40,10 @@ thread pool lacks:
   *leader*, duplicates attach as waiters to the leader's future and receive
   the same result.  Each waiter is still charged against its own tenant
   quota and metrics (plus a ``coalesced_total`` counter); only the solve is
-  shared.  This closes the thundering-herd window the result cache cannot —
-  the cache only helps *after* the first completion.
+  shared.  A leader shed on its own deadline sends every waiter that still
+  has budget back through admission, so no waiter answers for a deadline
+  that is not its own.  This closes the thundering-herd window the result
+  cache cannot — the cache only helps *after* the first completion.
 """
 
 from __future__ import annotations
@@ -1001,27 +1003,37 @@ class BatchExecutor:
         ``deadline_shed_total`` whichever thread noticed it: this wait, the
         scheduler, or a checkpoint inside the solve.
 
+        A shed whose request still has budget was a coalesced leader's,
+        shed on the leader's earlier deadline: the request is submitted
+        again and waited for within what is left of its own budget.  So a
+        ``DeadlineExceededError`` from here always means *this* request's
+        deadline passed.
+
         Raises:
             DeadlineExceededError: The request's deadline passed.  A wait
                 that runs out leaves the worker to stop at its next
                 checkpoint; its slot is released when it does.
         """
-        remaining = remaining_seconds(request.deadline)
-        try:
-            value = future.result(
-                timeout=None if remaining is None else max(0.0, remaining)
-            )
-        except FutureTimeoutError:
-            self._count("deadline_shed_total")
-            raise DeadlineExceededError(stage="result_wait") from None
-        except DeadlineExceededError:
-            self._count("deadline_shed_total")
-            raise
-        except Exception:
-            self._count("executor_errors_total")
-            raise
-        self._count("executor_completed_total")
-        return value
+        while True:
+            remaining = remaining_seconds(request.deadline)
+            try:
+                value = future.result(
+                    timeout=None if remaining is None else max(0.0, remaining)
+                )
+            except FutureTimeoutError:
+                self._count("deadline_shed_total")
+                raise DeadlineExceededError(stage="result_wait") from None
+            except DeadlineExceededError:
+                if _expired(request):
+                    self._count("deadline_shed_total")
+                    raise
+            except Exception:
+                self._count("executor_errors_total")
+                raise
+            else:
+                self._count("executor_completed_total")
+                return value
+            future = self.submit(request)  # the leader's shed, not ours
 
     def run_one(self, request: QueryRequest) -> Any:
         """Admit + wait for a single query (the HTTP API's code path)."""

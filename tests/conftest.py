@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from golden_utils import GOLDEN_CORPUS_CONFIG
-from repro.config import EvaluationConfig, PipelineConfig
+from repro.config import CorpusConfig, EvaluationConfig, PipelineConfig
 from repro.corpus.generator import CorpusGenerator, GeneratedCorpus
 from repro.corpus.storage import CorpusStore
 from repro.corpus.vocabulary import build_default_taxonomy
@@ -49,6 +49,16 @@ def corpus(taxonomy, venues) -> GeneratedCorpus:
 def store(corpus) -> CorpusStore:
     """The corpus store of the shared corpus."""
     return corpus.store
+
+
+@pytest.fixture(scope="session")
+def small_store() -> CorpusStore:
+    """A small corpus for serving tests that exercise failure paths, not
+    path quality: just big enough to solve on."""
+    config = CorpusConfig(
+        seed=17, papers_per_topic=12, surveys_per_topic=1, citations_per_paper=8.0
+    )
+    return CorpusGenerator(config).generate().store
 
 
 @pytest.fixture(scope="session")

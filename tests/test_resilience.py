@@ -86,11 +86,8 @@ from repro.serving.warmup import atomic_write_text
 
 PIPELINE = PipelineConfig(num_seeds=10)
 
-#: Small deterministic corpora — resilience tests exercise failure paths, not
-#: path quality, so the corpus only needs to be big enough to solve on.
-SMALL_CORPUS_CONFIG = CorpusConfig(
-    seed=17, papers_per_topic=12, surveys_per_topic=1, citations_per_paper=8.0
-)
+#: A second small corpus beside the shared ``small_store`` (conftest.py):
+#: resilience tests exercise failure paths, not path quality.
 BETA_CORPUS_CONFIG = CorpusConfig(
     seed=29, papers_per_topic=12, surveys_per_topic=1, citations_per_paper=8.0
 )
@@ -114,11 +111,6 @@ class FakeClock:
 
     def advance(self, seconds: float) -> None:
         self.now += seconds
-
-
-@pytest.fixture(scope="module")
-def small_store():
-    return CorpusGenerator(SMALL_CORPUS_CONFIG).generate().store
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,6 @@ thread timing — decides every ordering assertion.
 from __future__ import annotations
 
 import threading
-import time
 from types import SimpleNamespace
 
 import pytest
@@ -29,6 +28,7 @@ import pytest
 from repro.config import ServingConfig, TenantOverrides, TenantQuota
 from repro.serving import BatchExecutor, MetricsRegistry, QueryRequest, parse_metrics_text
 from repro.repager.app import RePaGerApp
+from serving_stubs import poll
 
 
 class StubService:
@@ -85,15 +85,6 @@ class _AppendLog:
     def items(self) -> list[str]:
         with self._lock:
             return list(self._items)
-
-
-def _wait_until(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
 
 
 def _spawn(target, count):
@@ -228,16 +219,16 @@ class TestDeficitRoundRobin:
                 lambda i: app.query(f"flood query {i}", corpus="flood"), 48
             )
             # 8 floods occupy every worker; 40 wait in the scheduler queue.
-            assert _wait_until(
+            assert poll(
                 lambda: app.executor.tenant_usage("flood")["executing"] == 8
             )
-            assert _wait_until(
+            assert poll(
                 lambda: app.executor.scheduler_info("flood")["queue_depth"] == 40
             )
             quiet_threads = _spawn(
                 lambda i: app.query(f"quiet query {i}", corpus="quiet"), 2
             )
-            assert _wait_until(
+            assert poll(
                 lambda: app.executor.scheduler_info("quiet")["queue_depth"] == 2
             )
             flood_gate.set()
@@ -284,7 +275,7 @@ class TestCoalescing:
             # any duplicate is submitted, so every follower must coalesce.
             assert spy.entered.wait(timeout=10)
             followers = _spawn(lambda i: worker(i + 1), 15)
-            assert _wait_until(
+            assert poll(
                 lambda: app.executor.scheduler_info("x")["coalesced_total"] == 15
             )
             gate.set()
@@ -331,7 +322,7 @@ class TestCoalescing:
             assert spy_x.entered.wait(timeout=10)
             # Canonicalised duplicate of the in-flight query: coalesces.
             threads += _spawn(lambda i: app.query("Graph  MINING", corpus="x"), 1)
-            assert _wait_until(
+            assert poll(
                 lambda: app.executor.scheduler_info("x")["coalesced_total"] == 1
             )
             # Same text, different tenant: its own solve.
@@ -350,7 +341,7 @@ class TestCoalescing:
                 ),
                 1,
             )
-            assert _wait_until(lambda: len(spy_x.calls) + len(spy_y.calls) == 4)
+            assert poll(lambda: len(spy_x.calls) + len(spy_y.calls) == 4)
             gate.set()
             _join_all(threads)
             assert len(spy_x.calls) == 3  # leader + cutoff + no-cache

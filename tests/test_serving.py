@@ -6,7 +6,6 @@ import json
 import threading
 import urllib.error
 import urllib.request
-from types import SimpleNamespace
 
 import pytest
 
@@ -37,6 +36,7 @@ from repro.serving import (
     warm_up,
 )
 from repro.serving.metrics import parse_metrics_text
+from serving_stubs import StubService
 
 
 def canonical_payload(payload) -> dict:
@@ -477,31 +477,11 @@ class TestBatchExecutor:
         """``query_timeout_seconds`` becomes the request's deadline; its
         expiry answers ``QueryTimeoutError`` and counts one timeout."""
         release = threading.Event()
-
-        class SlowService:
-            """Just what the app touches: a gated answer, no stale copy."""
-
-            metrics = None
-            cache = None
-            cache_namespace = ""
-            cache_ttl_seconds = None
-            pipeline = SimpleNamespace(config_fingerprint="slow")
-
-            def pipeline_for(self, variant=None):
-                return self.pipeline
-
-            def query_with_meta(self, text, **_options):
-                release.wait(timeout=10)
-                return {"query": text}, False
-
-            def stale_payload(self, text, **_options):
-                return None
-
         app = RePaGerApp(
             config=ServingConfig(max_workers=1, query_timeout_seconds=0.05)
         )
         try:
-            app.attach_service("main", SlowService(), default=True)
+            app.attach_service("main", StubService(gate=release), default=True)
             with pytest.raises(QueryTimeoutError):
                 app.query("slow")
             assert app.metrics.counter("executor_timeouts_total") == 1

@@ -30,43 +30,11 @@ from repro.errors import (
 )
 from repro.repager.app import RePaGerApp
 from repro.serving import BatchExecutor, MetricsRegistry, QueryRequest, parse_metrics_text
+from serving_stubs import StubService, poll
 
 FLOOD_CAPACITY = 3  # max_in_flight=2 + max_queued=1
 FLOOD_REQUESTS = 20
 QUIET_REQUESTS = 25
-
-
-class StubService:
-    """Minimal service contract: instant (or gated) canned answers.
-
-    Implements exactly what :meth:`RePaGerApp.handle_request` touches, so the
-    tests exercise the real executor, registry and metrics plumbing while the
-    "pipeline" completes in microseconds (or blocks on ``gate``).
-    """
-
-    def __init__(self, gate: threading.Event | None = None) -> None:
-        self.gate = gate
-        self.metrics = None  # assigned by attach_service
-        self.cache = None
-        self.cache_namespace = ""
-        self.cache_ttl_seconds = None
-        self.pipeline = SimpleNamespace(config_fingerprint="stub-fingerprint")
-
-    def pipeline_for(self, variant=None):
-        return self.pipeline
-
-    def variants_loaded(self):
-        return ()
-
-    def query_with_meta(
-        self, text, year_cutoff=None, exclude_ids=(), use_cache=True, variant=None
-    ):
-        if self.gate is not None:
-            assert self.gate.wait(timeout=30.0), "test gate never opened"
-        return {"query": text}, False
-
-    def stale_payload(self, text, **_options):
-        return None  # a timeout is a server failure: the app looks for one
 
 
 @pytest.fixture()
@@ -121,15 +89,6 @@ def _flood(app, results, done):
     return threads
 
 
-def _wait_until(predicate, timeout=10.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.005)
-    return predicate()
-
-
 class TestFloodingTenant:
     def test_quiet_tenant_unaffected_and_flooder_429s_deterministically(
         self, flooded_app, gate
@@ -141,7 +100,7 @@ class TestFloodingTenant:
         try:
             # Exactly FLOOD_CAPACITY requests are admitted (and now block on
             # the gate); every other submission is rejected synchronously.
-            assert _wait_until(
+            assert poll(
                 lambda: results["rejected"] == FLOOD_REQUESTS - FLOOD_CAPACITY
             ), results
             usage = app.executor.tenant_usage("flood")
@@ -178,7 +137,7 @@ class TestFloodingTenant:
         results = {"ok": 0, "rejected": 0, "lock": threading.Lock()}
         done = threading.Event()
         threads = _flood(app, results, done)
-        assert _wait_until(
+        assert poll(
             lambda: results["rejected"] == FLOOD_REQUESTS - FLOOD_CAPACITY
         ), results
         for index in range(5):
@@ -348,10 +307,10 @@ class TestQuotaMechanics:
             thread.start()
             # q0 executes (blocked on the gate); q1 is parked on the global
             # semaphore: admitted (it holds its tenant charge) but not queued.
-            assert _wait_until(
+            assert poll(
                 lambda: executor.tenant_usage("t")["executing"] == 1
             )
-            assert _wait_until(
+            assert poll(
                 lambda: executor.tenant_usage("t")["admitted"] >= 2
             )
             usage = executor.tenant_usage("t")

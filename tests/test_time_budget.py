@@ -7,6 +7,7 @@ Everything downstream knows only that deadline, so:
 * a solve that runs past the tenant's timeout stops at its next checkpoint
   and frees its worker, instead of running on after its caller got a 504;
 * retries share the one budget instead of each getting a fresh timeout;
+* a coalesced waiter answers for its own budget, never its leader's;
 * an expired request counts once in ``deadline_shed_total``, wherever it
   was shed.
 
@@ -16,15 +17,15 @@ polling with a deadline, never by sleeping a fixed time.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from concurrent.futures import wait
 
 import pytest
 
-from repro.config import CorpusConfig, PipelineConfig, ServingConfig, TenantOverrides
+from repro.config import PipelineConfig, ServingConfig, TenantOverrides
 from repro.core.pipeline import RePaGerPipeline
-from repro.corpus.generator import CorpusGenerator
 from repro.errors import (
     DeadlineExceededError,
     FaultInjectedError,
@@ -34,25 +35,9 @@ from repro.errors import (
 from repro.repager.app import QueryOptions, RePaGerApp
 from repro.resilience import FaultPlan, armed
 from repro.serving import BatchExecutor, MetricsRegistry, QueryRequest, warm_up_registry
+from serving_stubs import poll
 
 QUERY = "machine learning"
-
-
-@pytest.fixture(scope="module")
-def small_store():
-    config = CorpusConfig(
-        seed=17, papers_per_topic=12, surveys_per_topic=1, citations_per_paper=8.0
-    )
-    return CorpusGenerator(config).generate().store
-
-
-def _poll(condition, within: float = 30.0) -> bool:
-    deadline = time.monotonic() + within
-    while not condition():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.005)
-    return True
 
 
 def _app(store, timeout: float, **config) -> RePaGerApp:
@@ -70,11 +55,18 @@ def _app(store, timeout: float, **config) -> RePaGerApp:
     return app
 
 
-def test_timed_out_solve_stops_and_frees_its_worker(small_store, monkeypatch):
+def _record_generate(monkeypatch, gate: threading.Event | None = None) -> list[str]:
+    """Record how each ``generate`` call ends: its shed stage or "finished".
+
+    With ``gate``, the first call waits for it before solving.
+    """
     ends: list[str] = []
+    calls = itertools.count()
     generate = RePaGerPipeline.generate
 
     def recording(self, *args, **kwargs):
+        if gate is not None and next(calls) == 0:
+            assert gate.wait(timeout=30), "test gate never opened"
         try:
             result = generate(self, *args, **kwargs)
         except DeadlineExceededError as exc:
@@ -84,15 +76,20 @@ def test_timed_out_solve_stops_and_frees_its_worker(small_store, monkeypatch):
         return result
 
     monkeypatch.setattr(RePaGerPipeline, "generate", recording)
+    return ends
+
+
+def test_timed_out_solve_stops_and_frees_its_worker(small_store, monkeypatch):
+    ends = _record_generate(monkeypatch)
     app = _app(small_store, timeout=0.1, max_workers=1)
     try:
         with armed(FaultPlan.from_specs(["postings_search=delay:0.3:@1"])):
             with pytest.raises(QueryTimeoutError):
                 app.query(QueryOptions(query=QUERY, use_cache=False))
-            assert _poll(lambda: ends)
+            assert poll(lambda: ends)
         # The solve stopped at the first checkpoint past its budget.
         assert ends == ["k_hop_expand"]
-        assert _poll(lambda: app.executor.tenant_usage("main")["admitted"] == 0)
+        assert poll(lambda: app.executor.tenant_usage("main")["admitted"] == 0)
         assert app.metrics.counter("executor_timeouts_total") == 1
         assert app.metrics.counter("deadline_shed_total") == 1
         assert app.metrics.counter("executor_errors_total") == 0
@@ -117,6 +114,42 @@ def test_retries_share_the_budget(small_store):
         metrics = app.registry.get("main").service.metrics
         assert metrics.counter("retries_total") == 0
     finally:
+        app.close()
+
+
+def test_a_coalesced_waiter_keeps_its_own_budget(small_store, monkeypatch):
+    gate = threading.Event()
+    ends = _record_generate(monkeypatch, gate)
+    app = _app(small_store, timeout=30.0)
+    answers = []
+
+    def ask() -> None:
+        try:
+            answers.append(app.query(QUERY))
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            answers.append(exc)
+
+    try:
+        # The leader's client deadline runs out while its solve waits at the
+        # gate, so the solve is shed at its first checkpoint once it opens.
+        with pytest.raises(DeadlineExceededError):
+            app.query(QUERY, deadline=time.monotonic() + 0.5)
+        assert app.executor.tenant_usage("main")["executing"] == 1
+        waiter = threading.Thread(target=ask)
+        waiter.start()
+        assert poll(lambda: app.executor.scheduler_info("main")["coalesced_total"] == 1)
+        gate.set()
+        waiter.join(timeout=30)
+        # The waiter, with budget left, ran again instead of answering for
+        # the leader's deadline: no timeout, and nothing for the breaker.
+        assert len(answers) == 1
+        assert not isinstance(answers[0], Exception) and not answers[0].degraded
+        assert ends == ["postings_search", "finished"]
+        assert app.metrics.counter("executor_timeouts_total") == 0
+        assert app.metrics.counter("deadline_shed_total") == 1
+        assert app.health("main")["circuit"]["consecutive_failures"] == 0
+    finally:
+        gate.set()
         app.close()
 
 

@@ -16,7 +16,6 @@ import http.client
 import json
 import socket
 import threading
-import time
 from urllib.parse import urlsplit
 
 import pytest
@@ -25,6 +24,7 @@ from cluster_harness import ClusterFixture, corpus_snapshot, make_replica
 from repro.cluster import CorpusSpec, RouterApp
 from repro.serving.http_api import RePaGerHTTPServer, start_in_background
 from repro.serving.transport import JSONHandler, UpstreamPool
+from serving_stubs import poll
 
 #: The router's and a default replica's request-body cap.
 BODY_LIMIT = 1 << 20
@@ -318,15 +318,6 @@ def _handler_threads() -> int:
     )
 
 
-def _poll(condition, deadline_seconds: float = 30.0) -> bool:
-    deadline = time.monotonic() + deadline_seconds
-    while time.monotonic() < deadline:
-        if condition():
-            return True
-        time.sleep(0.01)
-    return condition()
-
-
 @pytest.mark.parametrize("role", ["replica", "router"])
 def test_an_idle_keep_alive_connection_is_closed(cluster, monkeypatch, role):
     assert JSONHandler.timeout is not None  # shipped: idle sockets are closed
@@ -337,7 +328,7 @@ def test_an_idle_keep_alive_connection_is_closed(cluster, monkeypatch, role):
     try:
         for sock in sockets:
             assert sock.recv(1) == b""  # EOF: the server closed it
-        assert _poll(lambda: _handler_threads() <= baseline)
+        assert poll(lambda: _handler_threads() <= baseline)
     finally:
         for sock in sockets:
             sock.close()
